@@ -12,6 +12,11 @@ cargo test -q --workspace
 # and flat aggregates bit-identical to the heap/treap oracle — must
 # fail loudly on its own line).
 cargo test -q --release -p bct-sim --test differential_queue
+# Dispatch-scoring differential suite: aggregate queries bit-identical
+# to the scan oracle, and the greedy/least-volume rules (entry-node term
+# computed once per run of leaves) picking exactly the leaf of a
+# one-leaf-at-a-time argmin over the same scores.
+cargo test -q --release -p bct-sched --test differential
 cargo test -q --release -p bct-sim --test scratch_alloc
 
 # Dynamic-topology differential suite (PR-6 contract): random mutation

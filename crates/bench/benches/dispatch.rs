@@ -3,13 +3,16 @@
 //!
 //! One driving simulation per variant (round-robin assignment, SJF
 //! nodes, 50k jobs on a 1024-leaf fat tree) provides live queue states;
-//! at sampled arrivals a probe times full greedy assignments — score
-//! every leaf, take the argmin — through `GreedyIdentical::score`. Both
-//! variants run the *same* scoring code: the "aggregate" run keys the
-//! engine's queue aggregates like the policy (fast path taken), the
+//! at sampled arrivals a probe times full greedy assignments two ways:
+//! a per-leaf loop — score every leaf through `GreedyIdentical::score`,
+//! take the argmin — and `GreedyIdentical::assign`, the dispatch the
+//! sweep runs, which computes the entry-node term once per entry node
+//! (16 here) instead of once per leaf. Both must pick the same leaf.
+//! Both variants run the *same* scoring code: the "aggregate" run keys
+//! the engine's queue aggregates like the policy (fast path taken), the
 //! "naive" run mis-keys them (class-rounded engine vs raw-size policy),
 //! so every query falls back to the scan oracle. Only the time inside
-//! the scoring loop is measured.
+//! the scoring calls is measured.
 
 use bct_core::{ClassRounding, Instance, JobId, NodeId, SpeedProfile};
 use bct_policies::Sjf;
@@ -19,6 +22,7 @@ use bct_sim::{AssignmentPolicy, SimConfig, SimView, Simulation};
 use bct_workloads::jobs::{SizeDist, WorkloadSpec};
 use bct_workloads::topo;
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Cheap deterministic driving assignment: cycle over the leaves.
@@ -38,13 +42,17 @@ impl AssignmentPolicy for RoundRobin {
     }
 }
 
-/// Times `reps` full greedy assignments at every `sample_every`-th
-/// arrival (skipping the cold start), accumulating only scoring time.
+/// Times `reps` full greedy assignments each way at every
+/// `sample_every`-th arrival (skipping the cold start), accumulating
+/// only scoring time.
 struct ScoringTimer {
     policy: GreedyIdentical,
     sample_every: usize,
     reps: u64,
+    /// Time in the per-leaf `score` loops.
     elapsed: Duration,
+    /// Time in `assign`.
+    assign_elapsed: Duration,
     assignments: u64,
     sink: f64,
 }
@@ -56,6 +64,7 @@ impl Probe for ScoringTimer {
             return;
         }
         let leaves = view.instance().tree().leaves();
+        let mut best_leaf = leaves[0];
         let start = Instant::now();
         for _ in 0..self.reps {
             let mut best = f64::INFINITY;
@@ -63,20 +72,28 @@ impl Probe for ScoringTimer {
                 let s = self.policy.score(view, job, v);
                 if s < best {
                     best = s;
+                    best_leaf = v;
                 }
             }
             self.sink += best;
         }
         self.elapsed += start.elapsed();
+        let mut chosen = best_leaf;
+        let start = Instant::now();
+        for _ in 0..self.reps {
+            chosen = black_box(self.policy.assign(view, job));
+        }
+        self.assign_elapsed += start.elapsed();
+        assert_eq!(chosen, best_leaf, "assign and the per-leaf argmin disagree on {job}");
         self.assignments += self.reps;
     }
 }
 
-/// Run the driving simulation and return (scoring time, assignments
-/// timed, checksum). `fast` keys the engine aggregates to match the
-/// scoring policy; otherwise they are deliberately mis-keyed so every
-/// query takes the scan fallback.
-fn measure(inst: &Instance, reps: u64, fast: bool) -> (Duration, u64, f64) {
+/// Run the driving simulation and return (per-leaf scoring time,
+/// `assign` time, assignments timed each way, checksum). `fast` keys the
+/// engine aggregates to match the scoring policy; otherwise they are
+/// deliberately mis-keyed so every query takes the scan fallback.
+fn measure(inst: &Instance, reps: u64, fast: bool) -> (Duration, Duration, u64, f64) {
     let mut cfg = SimConfig::with_speeds(SpeedProfile::unit());
     if !fast {
         cfg.dispatch_rounding = Some(ClassRounding::new(0.5));
@@ -86,6 +103,7 @@ fn measure(inst: &Instance, reps: u64, fast: bool) -> (Duration, u64, f64) {
         sample_every: inst.n() / 10,
         reps,
         elapsed: Duration::ZERO,
+        assign_elapsed: Duration::ZERO,
         assignments: 0,
         sink: 0.0,
     };
@@ -95,7 +113,7 @@ fn measure(inst: &Instance, reps: u64, fast: bool) -> (Duration, u64, f64) {
     };
     Simulation::run(inst, &Sjf::new(), &mut asg, &mut probe, &cfg).unwrap();
     assert!(probe.assignments > 0, "probe never sampled an arrival");
-    (probe.elapsed, probe.assignments, probe.sink)
+    (probe.elapsed, probe.assign_elapsed, probe.assignments, probe.sink)
 }
 
 fn dispatch_scoring(c: &mut Criterion) {
@@ -115,8 +133,8 @@ fn dispatch_scoring(c: &mut Criterion) {
     .expect("valid instance");
 
     let reps = 5;
-    let (fast_t, fast_n, fast_sink) = measure(&inst, reps, true);
-    let (slow_t, slow_n, slow_sink) = measure(&inst, reps, false);
+    let (fast_t, fast_assign_t, fast_n, fast_sink) = measure(&inst, reps, true);
+    let (slow_t, slow_assign_t, slow_n, slow_sink) = measure(&inst, reps, false);
     assert_eq!(fast_n, slow_n);
     // Same scores up to summation order; a checksum divergence means the
     // two paths scored different queues.
@@ -133,8 +151,26 @@ fn dispatch_scoring(c: &mut Criterion) {
     g.bench_function("greedy-assign/naive/1024-leaves-50k-jobs", |b| {
         b.iter_custom(|_| slow_t)
     });
+    g.bench_function("greedy-assign/aggregate/assign/1024-leaves-50k-jobs", |b| {
+        b.iter_custom(|_| fast_assign_t)
+    });
+    g.bench_function("greedy-assign/naive/assign/1024-leaves-50k-jobs", |b| {
+        b.iter_custom(|_| slow_assign_t)
+    });
     g.finish();
 
+    let per_call_us = |t: Duration| t.as_secs_f64() * 1e6 / fast_n as f64;
+    for (name, score_t, assign_t) in
+        [("aggregate", fast_t, fast_assign_t), ("naive", slow_t, slow_assign_t)]
+    {
+        println!(
+            "dispatch_scoring/{name}: per-leaf score loop {:.1} us, assign {:.1} us per assignment \
+             ({:.1}x)",
+            per_call_us(score_t),
+            per_call_us(assign_t),
+            score_t.as_secs_f64() / assign_t.as_secs_f64()
+        );
+    }
     let speedup = slow_t.as_secs_f64() / fast_t.as_secs_f64();
     println!("dispatch_scoring/speedup(naive/aggregate): {speedup:.1}x");
     assert!(

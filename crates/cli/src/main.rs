@@ -29,6 +29,9 @@ use opts::Opts;
 
 /// Exit code for a `sweep --spec` run in which some cells failed.
 const EXIT_PARTIAL_FAILURE: i32 = 3;
+/// Exit code for a `sweep --spec` file that cannot be read, parsed or
+/// validated: bad input, and no cell ran.
+const EXIT_BAD_SPEC: i32 = 2;
 
 fn main() {
     // `lint` has its own flag grammar (--machine/--baseline/--graph), so it
@@ -86,7 +89,8 @@ fn usage() -> String {
      (topologies × workloads × policies × speeds × replications) with\n               \
      [--workers N] [--out rows.jsonl] [--summary-out FILE] [--quiet]\n               \
      [--shard i/N] [--no-batch: disable the batched multi-cell runner;\n               \
-     rows are byte-identical either way]; exits 3 if cells failed.\n               \
+     rows are byte-identical either way]; exits 2 on a spec it rejects,\n               \
+     3 if cells failed.\n               \
      [--run-dir DIR]: durable resumable run — checksummed rows land in\n               \
      DIR as they finish; re-invoking the same spec resumes (skips\n               \
      checksum-valid cells, hard error on spec mismatch), and N\n               \
@@ -296,7 +300,13 @@ fn parse_shard(s: &str) -> Result<(usize, usize), String> {
 }
 
 fn cmd_sweep_spec(opts: &Opts, path: &str) -> Result<(), String> {
-    let sweep_spec = bct_harness::SweepSpec::load(std::path::Path::new(path))?;
+    let sweep_spec = match bct_harness::SweepSpec::load(std::path::Path::new(path)) {
+        Ok(spec) => spec,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(EXIT_BAD_SPEC);
+        }
+    };
     let shard = match opts.try_get("shard") {
         None => None,
         Some(s) => Some(parse_shard(&s)?),

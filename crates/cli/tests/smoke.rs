@@ -173,12 +173,39 @@ fn sweep_with_failing_cells_exits_3() {
 }
 
 #[test]
-fn sweep_rejects_a_bad_spec_with_exit_1() {
+fn sweep_rejects_a_bad_spec_with_exit_2() {
     let spec = write_spec("bad.json", r#"{"name": "bad", "topologies": []}"#);
     let out = bct(&["sweep", "--spec", spec.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
     let _ = std::fs::remove_file(&spec);
+}
+
+/// A load that is not a positive finite number is bad input: the spec
+/// is rejected before any cell runs, naming the workload, with exit 2
+/// (not 3 with every cell failed, and not a silent `loadinf` run).
+#[test]
+fn sweep_rejects_non_positive_or_infinite_loads_with_exit_2() {
+    for (name, load, label) in [
+        ("load_zero.json", "0", "load0"),
+        ("load_negative.json", "-1", "load-1"),
+        ("load_overflow.json", "1e309", "loadinf"),
+    ] {
+        let body = TINY_SPEC.replace(r#"{"jobs": 10}"#, &format!(r#"{{"jobs": 10, "load": {load}}}"#));
+        assert!(body.contains(load), "spec rewrite failed: {body}");
+        let spec = write_spec(name, &body);
+        let out_path = tmp(&format!("{name}.rows.jsonl"));
+        let out = bct(&[
+            "sweep", "--spec", spec.to_str().unwrap(), "--out", out_path.to_str().unwrap(),
+            "--quiet",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "load {load}: stderr: {stderr}");
+        assert!(stderr.contains(&format!("workload 'n10-{label}-")), "load {load}: {stderr}");
+        assert!(stderr.contains("load must be positive and finite"), "load {load}: {stderr}");
+        assert!(!out_path.exists(), "load {load}: a rejected spec must not write rows");
+        let _ = std::fs::remove_file(&spec);
+    }
 }
 
 /// `bct lint` runs the same driver as the standalone bct-lint binary:

@@ -392,20 +392,50 @@ impl Instance {
 
     /// The smallest possible flow time of job `j` at unit speeds:
     /// `min_{v ∈ L} η` along its actual path.
+    ///
+    /// `O(|L|)` for a root-origin job in the identical setting, where it
+    /// is `size` summed over the shallowest leaf's depth; a scan of every
+    /// leaf's path otherwise.
     pub fn min_eta(&self, j: JobId) -> Time {
-        self.tree
-            .leaves()
-            .iter()
-            .map(|&v| self.eta_via(j, v))
-            .fold(f64::INFINITY, f64::min)
+        self.min_eta_given_depth(j, self.min_leaf_depth())
     }
 
     /// Sum over jobs of [`Instance::min_eta`] — a crude but valid lower
     /// bound on the optimal total flow time at unit speeds.
     pub fn trivial_flow_lower_bound(&self) -> Time {
+        let d_min = self.min_leaf_depth();
         (0..self.n() as u32)
-            .map(|j| self.min_eta(JobId(j)))
+            .map(|j| self.min_eta_given_depth(JobId(j), d_min))
             .sum()
+    }
+
+    /// The smallest `d_v` over the leaves (`None` for a leafless tree).
+    fn min_leaf_depth(&self) -> Option<u32> {
+        self.tree.leaves().iter().map(|&v| self.tree.d_v(v)).min()
+    }
+
+    /// [`Instance::min_eta`] given the tree's smallest leaf depth.
+    ///
+    /// A root-origin job in the identical setting costs `size` on every
+    /// node of every path, so its cheapest path is the shallowest leaf's:
+    /// `size` summed `d_min` times — the summation [`Instance::eta_via`]
+    /// performs on that leaf. Adding more copies of a positive float
+    /// never gives a smaller sum, so this equals the scan's minimum bit
+    /// for bit. Unrelated jobs (leaf sizes differ) and jobs with an
+    /// origin (paths differ from `d_v`) take the scan.
+    fn min_eta_given_depth(&self, j: JobId, d_min: Option<u32>) -> Time {
+        let job = &self.jobs[j.as_usize()];
+        match d_min {
+            Some(d) if job.origin.is_none() && !job.is_unrelated() => {
+                (0..d).map(|_| job.size).sum()
+            }
+            _ => self
+                .tree
+                .leaves()
+                .iter()
+                .map(|&v| self.eta_via(j, v))
+                .fold(f64::INFINITY, f64::min),
+        }
     }
 
     /// Total work volume released (router copies not counted): `Σ_j p_j`.

@@ -2,8 +2,44 @@
 //! valid trees whose derived structure obeys the model's laws.
 
 use bct_core::tree::{Tree, TreeBuilder};
-use bct_core::{Broomstick, ClassRounding, NodeId, TreeMutation};
+use bct_core::{Broomstick, ClassRounding, Instance, Job, JobId, NodeId, TreeMutation};
 use proptest::prelude::*;
+
+/// Jobs with arbitrary sizes on `t`: `mode` 0 identical, 1 unrelated, 2
+/// identical with an origin on every other job, 3 unrelated with
+/// origins. `picks` choose the origins.
+fn eta_jobs(t: &Tree, mode: u8, sizes: &[f64], picks: &[u32]) -> Vec<Job> {
+    let leaves = t.num_leaves();
+    sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &size)| {
+            let job = if mode % 2 == 1 {
+                let leaf_sizes = (0..leaves)
+                    .map(|k| sizes[(i + k) % sizes.len()] * (1.0 + 0.37 * k as f64))
+                    .collect();
+                Job::unrelated(i as u32, i as f64, size, leaf_sizes)
+            } else {
+                Job::identical(i as u32, i as f64, size)
+            };
+            if mode >= 2 && i % 2 == 0 {
+                let origin = 1 + picks[i % picks.len()] as usize % (t.len() - 1);
+                job.with_origin(NodeId(origin as u32))
+            } else {
+                job
+            }
+        })
+        .collect()
+}
+
+/// `min_eta` as a scan of every leaf's path.
+fn min_eta_scan(inst: &Instance, j: JobId) -> f64 {
+    inst.tree()
+        .leaves()
+        .iter()
+        .map(|&v| inst.eta_via(j, v))
+        .fold(f64::INFINITY, f64::min)
+}
 
 /// Strategy: a random valid tree described by its builder moves.
 /// `shape[i] ∈ [0, i]` attaches node `i+1` under node `shape[i] % made`,
@@ -217,6 +253,30 @@ proptest! {
             let json = serde_json::to_string(&t).unwrap();
             let back: Tree = serde_json::from_str(&json).unwrap();
             prop_assert_eq!(back, t);
+        }
+    }
+
+    /// The path-work bound's closed form (`size` summed over the
+    /// shallowest leaf's depth, for root-origin identical jobs) is bit-equal
+    /// to the per-leaf `eta_via` scan, on random trees and on their
+    /// broomsticks, both with unequal leaf depths, for every job kind.
+    #[test]
+    fn min_eta_closed_form_equals_the_per_leaf_scan(
+        t in tree_strategy(24),
+        mode in 0u8..4,
+        sizes in prop::collection::vec(0.001f64..1e3, 1..12),
+        picks in prop::collection::vec(any::<u32>(), 12),
+    ) {
+        for tree in [t.clone(), Broomstick::reduce(&t).tree().clone()] {
+            let jobs = eta_jobs(&tree, mode, &sizes, &picks);
+            let inst = Instance::new(tree, jobs).expect("valid instance");
+            let scans: Vec<f64> =
+                (0..inst.n() as u32).map(|j| min_eta_scan(&inst, JobId(j))).collect();
+            for (j, &scan) in scans.iter().enumerate() {
+                prop_assert_eq!(inst.min_eta(JobId(j as u32)).to_bits(), scan.to_bits(), "job {}", j);
+            }
+            let total: f64 = scans.iter().sum();
+            prop_assert_eq!(inst.trivial_flow_lower_bound().to_bits(), total.to_bits());
         }
     }
 

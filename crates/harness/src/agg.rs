@@ -1,11 +1,11 @@
 //! Streaming aggregation over sweep rows: scalar accumulators plus
 //! fixed-bucket log-scale histograms for quantiles, grouped by policy.
 //!
-//! Everything here is O(1) memory per group and commutative in the
-//! counts, so aggregation can run live while workers race. (Float
-//! *sums* still depend on arrival order at the last few ulps; the
-//! byte-determinism guarantee of the harness covers the JSONL rows,
-//! which never pass through this module.)
+//! Everything here is O(1) memory per group. The counts and histograms
+//! are commutative, but float *sums* depend on the order rows are folded
+//! in, so sweeps build their aggregate with [`StreamingAgg::from_rows`],
+//! which folds in cell-index order: the summary's bytes then depend on
+//! the rows alone, never on which worker finished first.
 
 use crate::sweep::{RowOutcome, SweepRow};
 use std::collections::BTreeMap;
@@ -161,6 +161,18 @@ fn policy_speed_key(row: &SweepRow) -> String {
 }
 
 impl StreamingAgg {
+    /// Aggregate `rows` in cell-index order, whatever order they are
+    /// given in — the deterministic form every sweep report uses.
+    pub fn from_rows(rows: &[SweepRow]) -> StreamingAgg {
+        let mut sorted: Vec<&SweepRow> = rows.iter().collect();
+        sorted.sort_by_key(|r| r.cell);
+        let mut agg = StreamingAgg::default();
+        for row in sorted {
+            agg.observe(row);
+        }
+        agg
+    }
+
     /// Fold one row in.
     pub fn observe(&mut self, row: &SweepRow) {
         let fine = self.by_policy_speed.entry(policy_speed_key(row)).or_default();
@@ -410,31 +422,30 @@ mod tests {
 
     #[test]
     fn summary_json_is_deterministic_and_well_formed() {
-        let build = |order_swapped: bool| {
-            let mut agg = StreamingAgg::default();
-            let rows = [row("sjf+greedy", 4.0, 1.5), row("sjf+closest", 9.0, 2.5)];
-            if order_swapped {
-                for r in rows.iter().rev() {
-                    agg.observe(r);
-                }
-            } else {
-                for r in &rows {
-                    agg.observe(r);
-                }
-            }
-            agg.summary_json()
-        };
-        let a = build(false);
-        let b = build(true);
-        assert_eq!(a, b, "summary bytes must not depend on observation order");
+        // 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit, so
+        // folding in arrival order would make the mean depend on it.
+        let rows: Vec<SweepRow> = [("sjf+greedy", 0.1), ("sjf+closest", 0.2), ("sjf+greedy", 0.3)]
+            .iter()
+            .enumerate()
+            .map(|(cell, &(policy, flow))| SweepRow { cell, ..row(policy, flow, 1.5) })
+            .collect();
+        let reversed: Vec<SweepRow> = rows.iter().rev().cloned().collect();
+        let a = StreamingAgg::from_rows(&rows).summary_json();
+        let b = StreamingAgg::from_rows(&reversed).summary_json();
+        assert_eq!(a, b, "summary bytes must not depend on arrival order");
+        let mut in_order = StreamingAgg::default();
+        for r in &rows {
+            in_order.observe(r);
+        }
+        assert_eq!(a, in_order.summary_json(), "from_rows folds in cell order");
         // Keys come out sorted (BTreeMap order).
         assert!(a.find("sjf+closest").unwrap() < a.find("sjf+greedy").unwrap());
         // Parses under the workspace JSON parser.
         let parsed: serde::Value = serde_json::from_str(&a).expect("valid JSON");
         let overall = parsed.get("overall").expect("overall");
-        assert_eq!(overall.get("cells"), Some(&serde::Value::Int(2)));
+        assert_eq!(overall.get("cells"), Some(&serde::Value::Int(3)));
         let flow = overall.get("mean_flow").expect("mean_flow");
-        assert_eq!(flow.get("count"), Some(&serde::Value::Int(2)));
+        assert_eq!(flow.get("count"), Some(&serde::Value::Int(3)));
         let p50 = overall.get("flow_quantiles").and_then(|q| q.get("p50"));
         assert!(matches!(p50, Some(serde::Value::Float(v)) if *v > 0.0), "{p50:?}");
     }

@@ -567,21 +567,19 @@ pub fn run_sweep_dir(
     let merged = dir.merge()?;
     let mut jsonl = String::new();
     let mut rows: Vec<SweepRow> = Vec::with_capacity(merged.len());
-    let mut agg = StreamingAgg::default();
     for json in &merged {
         jsonl.push_str(json);
         jsonl.push('\n');
         let row: SweepRow =
             serde_json::from_str(json).map_err(|e| format!("merged row reparse: {e}"))?;
-        agg.observe(&row);
         rows.push(row);
     }
     let ok = rows.iter().filter(|r| matches!(r.outcome, RowOutcome::Ok(_))).count();
     let failed = rows.len() - ok;
     let report = SweepReport {
         name: spec.name.clone(),
+        agg: StreamingAgg::from_rows(&rows),
         rows,
-        agg,
         ok,
         failed,
         elapsed: started.elapsed(),

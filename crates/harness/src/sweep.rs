@@ -4,8 +4,8 @@
 //! speed profiles × replications — as plain strings in the crate's spec
 //! grammar (see [`crate::spec`]). [`expand`] turns it into a flat,
 //! stably-indexed task list; [`run_sweep`] executes the tasks on the
-//! worker pool, streams every finished cell to a [`RowSink`] and the
-//! [`StreamingAgg`], and returns an index-sorted [`SweepReport`].
+//! worker pool, streams every finished cell to a [`RowSink`], and
+//! returns an index-sorted [`SweepReport`] with its [`StreamingAgg`].
 //!
 //! **Seeding.** Each cell's RNG seed is `splitmix64` of the spec's
 //! `root_seed` and the cell's grid index — never of worker identity —
@@ -164,6 +164,12 @@ impl SweepSpec {
         for w in &self.workloads {
             if w.jobs == 0 {
                 return Err(format!("workload '{}': jobs must be ≥ 1", w.label()));
+            }
+            if !(w.load > 0.0 && w.load.is_finite()) {
+                return Err(format!(
+                    "workload '{}': load must be positive and finite",
+                    w.label()
+                ));
             }
             spec::parse_sizes(&w.sizes).map_err(|e| format!("workload '{}': {e}", w.label()))?;
             if let Some(c) = w.capacity {
@@ -731,7 +737,7 @@ pub struct SweepReport {
     /// All rows, sorted by cell index (deterministic at any worker
     /// count).
     pub rows: Vec<SweepRow>,
-    /// The streaming aggregate.
+    /// The aggregate over `rows`, folded in cell-index order.
     pub agg: StreamingAgg,
     /// Completed cells.
     pub ok: usize,
@@ -818,8 +824,8 @@ pub(crate) fn execute_tasks(
     rows
 }
 
-/// Execute a sweep: expand, run on the pool, stream rows to `sink` and
-/// the aggregator, return the sorted report.
+/// Execute a sweep: expand, run on the pool, stream rows to `sink`,
+/// return the sorted report with its aggregate.
 ///
 /// Failures never abort the sweep — a panicking cell becomes a
 /// [`RowOutcome::Failed`] row carrying its panic message and reproducer
@@ -844,7 +850,6 @@ pub fn run_sweep(
     let every = (total / 20).clamp(1, 64);
     // bct-lint: allow(d2) -- progress/ETA display only; never feeds a row or an aggregate
     let started = Instant::now();
-    let mut agg = StreamingAgg::default();
     let mut sink_error: Option<String> = None;
     let mut done = 0usize;
     let mut failed = 0usize;
@@ -852,7 +857,6 @@ pub fn run_sweep(
         if matches!(row.outcome, RowOutcome::Failed { .. }) {
             failed += 1;
         }
-        agg.observe(row);
         if let Err(e) = sink.write_row(row) {
             sink_error.get_or_insert_with(|| format!("sink: {e}"));
         }
@@ -868,8 +872,8 @@ pub fn run_sweep(
     let failed = rows.len() - ok;
     Ok(SweepReport {
         name: spec.name.clone(),
+        agg: StreamingAgg::from_rows(&rows),
         rows,
-        agg,
         ok,
         failed,
         elapsed: started.elapsed(),
@@ -950,6 +954,13 @@ mod tests {
         let mut spec = tiny_spec();
         spec.speeds.clear();
         assert!(spec.validate().is_err());
+        for load in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            let mut spec = tiny_spec();
+            spec.workloads[0].load = load;
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains(&format!("load{load}")), "{load}: {err}");
+            assert!(err.contains("load must be positive and finite"), "{load}: {err}");
+        }
     }
 
     #[test]

@@ -111,6 +111,14 @@ impl AssignmentPolicy for RoundRobin {
 /// entry node plus at the leaf itself, plus the job's own path work —
 /// a locally load-aware greedy that still ignores the interior of the
 /// tree and the SJF priority structure.
+///
+/// One dispatch scores each leaf once, in one pass: a scan of the
+/// leaf's queue plus its path. The entry-node volume is memoised for the
+/// current run of leaves sharing an entry node, so each entry queue is
+/// scanned once per run: once per entry node on trees that number each
+/// root-adjacent subtree contiguously, as the fat-tree, k-ary, star and
+/// broomstick builders do. Ties go to the smaller `NodeId`; a NaN score
+/// panics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LeastVolume;
 
@@ -120,20 +128,32 @@ impl AssignmentPolicy for LeastVolume {
     }
 
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
-        *view
-            .tree()
-            .leaves()
-            .iter()
-            .min_by(|&&a, &&b| {
-                let score = |v: NodeId| {
-                    let entry = view.entry_node(job, v);
-                    let vol_entry: f64 = view.q(entry).map(|i| view.remaining_at(i, entry)).sum();
-                    let vol_leaf: f64 = view.q(v).map(|i| view.remaining_at(i, v)).sum();
-                    vol_entry + vol_leaf + view.eta_via(job, v)
-                };
-                score(a).partial_cmp(&score(b)).unwrap().then(a.cmp(&b))
-            })
-            .expect("tree has leaves")
+        let queued = |v: NodeId| -> f64 { view.q(v).map(|i| view.remaining_at(i, v)).sum() };
+        let mut memo: Option<(NodeId, f64)> = None;
+        let mut best: Option<(f64, NodeId)> = None;
+        for &v in view.tree().leaves() {
+            let entry = view.entry_node(job, v);
+            let vol_entry = match memo {
+                Some((m, vol)) if m == entry => vol,
+                _ => {
+                    let vol = queued(entry);
+                    memo = Some((entry, vol));
+                    vol
+                }
+            };
+            let score = vol_entry + queued(v) + view.eta_via(job, v);
+            let better = best.is_none_or(|(best_score, best_leaf)| {
+                score
+                    .partial_cmp(&best_score)
+                    .expect("least-volume: NaN assignment score")
+                    .then(v.cmp(&best_leaf))
+                    .is_lt()
+            });
+            if better {
+                best = Some((score, v));
+            }
+        }
+        best.expect("tree has leaves").1
     }
 
     fn needs_aggregates(&self) -> bool {

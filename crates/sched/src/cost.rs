@@ -20,7 +20,10 @@
 //! Each term costs two [`bct_policies::prio`] queue queries — `O(log
 //! |Q_v|)` against an engine maintaining matching queue aggregates
 //! (`SimConfig::dispatch_rounding` equal to the `rounding` passed
-//! here), `O(|Q_v|)` scans otherwise.
+//! here), `O(|Q_v|)` scans otherwise. `F(j,v)` depends on the leaf only
+//! through its entry node, so a dispatch that scores every leaf needs it
+//! once per entry node ([`f_term_at_entry`]); `F'` and the distance term
+//! are per leaf.
 
 use bct_core::{ClassRounding, JobId, NodeId, Time};
 use bct_policies::prio;
@@ -34,8 +37,18 @@ pub fn f_term(
     j: JobId,
     leaf: NodeId,
 ) -> Time {
+    f_term_at_entry(view, rounding, j, view.entry_node(j, leaf))
+}
+
+/// [`f_term`] given the entry node `r = R(v)` itself: every leaf
+/// entering through `r` has this same `F(j,v)`.
+pub fn f_term_at_entry(
+    view: &SimView<'_>,
+    rounding: Option<&ClassRounding>,
+    j: JobId,
+    r: NodeId,
+) -> Time {
     let inst = view.instance();
-    let r = view.entry_node(j, leaf);
     let p_j = inst.p(j, r);
     let s_vol = prio::s_volume_excl(view, rounding, r, j) + p_j; // S includes J_j
     let larger = prio::count_larger(view, rounding, r, j) as f64;

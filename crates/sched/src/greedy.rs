@@ -10,26 +10,49 @@
 //! §§3.5–3.6 analyzes it) but is well defined — and is run as an
 //! empirical heuristic — on arbitrary trees.
 //!
-//! Scoring one leaf costs `O(log |Q|)` when the engine maintains queue
+//! Both scores depend on the leaf's queues only through `F(j,v)`, which
+//! is evaluated at the entry node `R(v)`, plus per-leaf terms. One
+//! dispatch therefore computes `F` once per run of leaves sharing an
+//! entry node — once per entry node on trees that number each
+//! root-adjacent subtree contiguously, as the fat-tree, k-ary, star and
+//! broomstick builders do — and the per-leaf terms once per leaf:
+//! `O(|R|·log max|Q| + |L|)` for the identical rule, plus one
+//! `O(log |Q_v|)` `F'` per leaf for the unrelated rule. The `log` costs hold when the engine maintains queue
 //! aggregates keyed like this rule — configure the run with
 //! `SimConfig::dispatch_rounding` equal to [`GreedyIdentical::rounding`]
-//! / [`GreedyUnrelated::rounding`]. On a mismatch the scoring silently
-//! degrades to `O(|Q|)` queue scans (same answers, just slower).
+//! / [`GreedyUnrelated::rounding`]. On a mismatch the queries silently
+//! degrade to `O(|Q|)` scans (same answers, just slower).
 
-use crate::cost::{distance_term, f_prime_term, f_term};
+use crate::cost::{distance_term, f_prime_term, f_term, f_term_at_entry};
 use bct_core::{ClassRounding, JobId, NodeId, Time};
 use bct_sim::{AssignmentPolicy, SimView};
 
+/// First-strict-minimum argmin over the live leaves of
+/// `score(F(j,R(v)), v)`. The entry-node term is memoised for the
+/// current run of leaves sharing an entry node; a leaf entering through
+/// a different node than the previous one recomputes it, so the choice
+/// does not depend on how the leaves are numbered.
 fn argmin_leaf(
     view: &SimView<'_>,
+    rounding: Option<&ClassRounding>,
     j: JobId,
-    mut score: impl FnMut(&SimView<'_>, JobId, NodeId) -> Time,
+    mut score: impl FnMut(Time, NodeId) -> Time,
 ) -> NodeId {
     let leaves = view.tree().leaves();
     let mut best = leaves[0];
     let mut best_score = f64::INFINITY;
+    let mut memo: Option<(NodeId, Time)> = None;
     for &v in leaves {
-        let s = score(view, j, v);
+        let r = view.entry_node(j, v);
+        let f = match memo {
+            Some((m, f)) if m == r => f,
+            _ => {
+                let f = f_term_at_entry(view, rounding, j, r);
+                memo = Some((r, f));
+                f
+            }
+        };
+        let s = score(f, v);
         debug_assert!(s.is_finite(), "non-finite assignment score");
         if s < best_score {
             best_score = s;
@@ -89,10 +112,14 @@ impl GreedyIdentical {
     /// (`d_v` generalizes to the job's actual path length for non-root
     /// origins).
     pub fn score(&self, view: &SimView<'_>, j: JobId, leaf: NodeId) -> Time {
+        self.score_given_f(view, j, leaf, f_term(view, self.rounding.as_ref(), j, leaf))
+    }
+
+    /// [`GreedyIdentical::score`] with `F(j,v)` already computed.
+    fn score_given_f(&self, view: &SimView<'_>, j: JobId, leaf: NodeId, f: Time) -> Time {
         let inst = view.instance();
-        f_term(view, self.rounding.as_ref(), j, leaf)
-            + self.distance_weight
-                * distance_term(self.epsilon, inst.job(j).size, view.path_for(j, leaf).len() as u32)
+        f + self.distance_weight
+            * distance_term(self.epsilon, inst.job(j).size, view.path_for(j, leaf).len() as u32)
     }
 }
 
@@ -103,7 +130,7 @@ impl AssignmentPolicy for GreedyIdentical {
 
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         let me = *self;
-        argmin_leaf(view, job, move |view, j, v| me.score(view, j, v))
+        argmin_leaf(view, me.rounding.as_ref(), job, |f, v| me.score_given_f(view, job, v, f))
     }
 }
 
@@ -141,9 +168,13 @@ impl GreedyUnrelated {
     /// The score minimized over leaves:
     /// `F(j,v) + F'(j,v) + (6/ε²)·d_v·p_j`.
     pub fn score(&self, view: &SimView<'_>, j: JobId, leaf: NodeId) -> Time {
+        self.score_given_f(view, j, leaf, f_term(view, self.rounding.as_ref(), j, leaf))
+    }
+
+    /// [`GreedyUnrelated::score`] with `F(j,v)` already computed.
+    fn score_given_f(&self, view: &SimView<'_>, j: JobId, leaf: NodeId, f: Time) -> Time {
         let inst = view.instance();
-        f_term(view, self.rounding.as_ref(), j, leaf)
-            + f_prime_term(view, self.rounding.as_ref(), j, leaf)
+        f + f_prime_term(view, self.rounding.as_ref(), j, leaf)
             + distance_term(self.epsilon, inst.job(j).size, view.path_for(j, leaf).len() as u32)
     }
 }
@@ -155,7 +186,7 @@ impl AssignmentPolicy for GreedyUnrelated {
 
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         let me = *self;
-        argmin_leaf(view, job, move |view, j, v| me.score(view, j, v))
+        argmin_leaf(view, me.rounding.as_ref(), job, |f, v| me.score_given_f(view, job, v, f))
     }
 }
 

@@ -7,12 +7,18 @@
 //! match *bit for bit*, including the greedy `argmin` leaf choice. A
 //! separate tolerance suite uses arbitrary sizes, where the two
 //! summation orders may differ in the last bits.
+//!
+//! Every suite also checks the dispatching rules themselves: the greedy
+//! rules and least-volume compute their entry-node term once per run of
+//! leaves sharing an entry node, and must pick exactly the leaf a
+//! one-leaf-at-a-time argmin over the same score picks.
 
 use bct_core::tree::TreeBuilder;
 use bct_core::{ClassRounding, Instance, Job, JobId, NodeId, SpeedProfile, Tree};
 use bct_policies::prio::{self, naive};
-use bct_policies::Sjf;
-use bct_sched::cost::{f_prime_term, f_term};
+use bct_policies::{LeastVolume, Sjf};
+use bct_sched::cost::{distance_term, f_prime_term, f_term};
+use bct_sched::{GreedyIdentical, GreedyUnrelated};
 use bct_sim::policy::Probe;
 use bct_sim::{AssignmentPolicy, SimConfig, SimView, Simulation};
 use proptest::prelude::*;
@@ -21,7 +27,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Random tree: 2–3 root children, random interior growth, a machine
-/// under every interior node.
+/// under every interior node. Leaves are numbered in interior-node
+/// order, which interleaves the subtrees of different root children, so
+/// consecutive leaves often change entry node.
 fn random_tree(rng: &mut ChaCha8Rng) -> Tree {
     let mut b = TreeBuilder::new();
     let mut interior = Vec::new();
@@ -158,6 +166,34 @@ impl DiffProbe {
             });
             assert_eq!(fast_best, naive_best, "best leaf diverged for {j}");
         }
+        self.check_rules(view, j);
+    }
+
+    /// The memoised rules against a first-strict-minimum argmin over
+    /// per-leaf scores built from the cost terms and least-volume's scan
+    /// formula. Both sides run the same float operations per leaf, so
+    /// the leaves must match exactly in every suite.
+    fn check_rules(&self, view: &SimView<'_>, j: JobId) {
+        let r = self.rounding.as_ref();
+        let eps = r.map_or(0.5, ClassRounding::epsilon);
+        let (mut identical, mut unrelated) = match r {
+            Some(_) => (GreedyIdentical::with_classes(eps), GreedyUnrelated::with_classes(eps)),
+            None => (GreedyIdentical::new(eps), GreedyUnrelated::new(eps)),
+        };
+        let leaves = view.tree().leaves();
+        let size = view.instance().job(j).size;
+        let dist = |v: NodeId| distance_term(eps, size, view.path_for(j, v).len() as u32);
+        let want = argmin_leaf(leaves, |v| f_term(view, r, j, v) + dist(v));
+        assert_eq!(identical.assign(view, j), want, "greedy-identical diverged for {j}");
+        let want = argmin_leaf(leaves, |v| {
+            f_term(view, r, j, v) + f_prime_term(view, r, j, v) + dist(v)
+        });
+        assert_eq!(unrelated.assign(view, j), want, "greedy-unrelated diverged for {j}");
+        let queued = |v: NodeId| -> f64 { view.q(v).map(|i| view.remaining_at(i, v)).sum() };
+        let want = argmin_leaf(leaves, |v| {
+            queued(view.entry_node(j, v)) + queued(v) + view.eta_via(j, v)
+        });
+        assert_eq!(LeastVolume.assign(view, j), want, "least-volume diverged for {j}");
     }
 }
 
