@@ -28,7 +28,7 @@ cargo test -q --release -p bct-core --test properties mutation_walks_match_from_
 
 # Determinism/zero-alloc contract lint, local rules plus the
 # call-graph reachability pass (a2/p2/d4) and the stale-allow audit
-# (l2) — see DESIGN.md §11 and §16. No baseline: every finding is a
+# (l2) — see DESIGN.md §11 and §15. No baseline: every finding is a
 # hard failure. Runs before clippy so contract breaks surface with
 # bct-lint's spans and call chains, not clippy's generic diagnostics.
 # The full pass (parse + graph + reachability over the workspace) must
@@ -75,18 +75,14 @@ for w in 1 4 8; do
     diff specs/golden_sweep_dynamic.expected.jsonl "$golden_out"
 done
 
-# Batched golden sweep: replication groups routed through the batched
-# multi-cell runner (the default path) must reproduce the checked-in
-# JSONL byte for byte at every worker count, and --no-batch (the
-# per-cell escape hatch) must emit the same bytes.
+# Replicated golden sweep: eight replications per grid point, on a
+# fixed and a seeded (`random:`) topology, byte-identical at every
+# worker count.
 for w in 1 4 8; do
     cargo run -q --release -p bct-cli -- sweep \
         --spec specs/golden_sweep_batch.json --workers "$w" --out "$golden_out" --quiet >/dev/null
     diff specs/golden_sweep_batch.expected.jsonl "$golden_out"
 done
-cargo run -q --release -p bct-cli -- sweep \
-    --spec specs/golden_sweep_batch.json --workers 2 --no-batch --out "$golden_out" --quiet >/dev/null
-diff specs/golden_sweep_batch.expected.jsonl "$golden_out"
 
 # Sharded sweep merge: the same golden grid split 0/2 + 1/2 by cell
 # index, concatenated and re-sorted by cell, must be byte-identical to
@@ -191,30 +187,6 @@ rate, floor = d["jobs_per_s_scratch"], 0.9 * base["jobs_per_s_scratch"]
 print(f"sim bench: {rate} jobs/s with scratch (floor {floor:.0f}, PR-{base['recorded_pr']} baseline {base['jobs_per_s_scratch']})")
 if rate < floor:
     raise SystemExit(f"sim throughput regressed >10% vs the recorded PR-{base['recorded_pr']} baseline: {rate} < {floor:.0f}")
-EOF
-
-# Batched-runner throughput: emits target/BENCH_batch.json (batched vs
-# isolated vs warm per-cell at widths 1/4/8/16, outcomes cross-checked
-# lane-by-lane inside the bench) and gates the width-8 figures against
-# the recorded PR-8 baseline. Floors are loose (~10% run-to-run noise
-# on a 1-core host); the byte-identity contract is enforced by the
-# golden diffs above, this gate only catches throughput collapses.
-cargo bench -q -p bct-bench --bench batch_throughput
-python3 - <<'EOF'
-import json
-d = json.load(open("target/BENCH_batch.json"))
-base = json.load(open("specs/BENCH_batch_baseline.json"))
-w8 = d["widths"].index(8)
-rate = d["jobs_per_s_batched"][w8]
-checks = [
-    ("batched w8 jobs/s", rate, 0.80 * base["jobs_per_s_batched_w8"]),
-    ("speedup_w8 (batched/isolated)", d["speedup_w8"], 0.85 * base["speedup_w8"]),
-    ("parity_w8 (batched/warm)", d["parity_w8"], 0.85 * base["parity_w8"]),
-]
-for name, got, floor in checks:
-    print(f"batch bench: {name} = {got:.3f} (floor {floor:.3f}, PR-{base['recorded_pr']} baseline)")
-    if got < floor:
-        raise SystemExit(f"batched runner regressed vs the recorded PR-{base['recorded_pr']} baseline: {name} {got:.3f} < {floor:.3f}")
 EOF
 
 # Event-queue microbenchmark: calendar/radix queue vs the binary-heap

@@ -10,7 +10,6 @@ use bct_core::SpeedProfile;
 use bct_workloads::jobs::SizeDist;
 use bct_workloads::jobs::WorkloadSpec;
 use bct_workloads::topo;
-use rayon::prelude::*;
 
 /// **E13 — the `(6/ε²)·d_v·p_j` distance term.** With the term removed,
 /// the rule sees only queue volumes; on trees with heterogeneous leaf
@@ -35,7 +34,6 @@ pub fn e13_distance_term(scale: Scale) -> Table {
     };
     for &rho in &[0.3f64, 0.7] {
         let pairs: Vec<(f64, f64)> = (0..scale.seeds)
-            .into_par_iter()
             .map(|seed| {
                 let tree = lopsided();
                 let inst = WorkloadSpec::poisson_identical(
@@ -87,7 +85,6 @@ pub fn e14_class_rounding(scale: Scale) -> Table {
     );
     for &eps in &[0.25f64, 0.5, 1.0] {
         let pairs: Vec<(f64, f64)> = (0..scale.seeds)
-            .into_par_iter()
             .map(|seed| {
                 let tree = topo::fat_tree(2, 2, 2);
                 let inst = WorkloadSpec::poisson_identical(
@@ -142,7 +139,7 @@ pub fn e15_router_policy(scale: Scale) -> Table {
         ("ljf", NodePolicyKind::Ljf),
     ];
     let results: Vec<(&str, f64, f64)> = cells
-        .par_iter()
+        .iter()
         .map(|&(label, node)| {
             let mut means = Vec::new();
             let mut maxes = Vec::new();

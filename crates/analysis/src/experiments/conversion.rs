@@ -9,7 +9,6 @@ use bct_core::SpeedProfile;
 use bct_sim::packet::run_packetized;
 use bct_workloads::jobs::{SizeDist, WorkloadSpec};
 use bct_workloads::topo;
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// **E9 — Theorem 3.** Integral vs fractional flow time of the same
@@ -23,7 +22,6 @@ pub fn e9_fractional_vs_integral(scale: Scale) -> Table {
     for &rho in &[0.5f64, 0.7, 0.9] {
         for &s in &[1.0f64, 1.25, 1.5] {
             let ratios: Vec<f64> = (0..scale.seeds)
-                .into_par_iter()
                 .map(|seed| {
                     let tree = topo::fat_tree(2, 2, 2);
                     let inst = WorkloadSpec::poisson_identical(
@@ -103,7 +101,6 @@ pub fn e12_packetized(scale: Scale) -> Table {
     for &depth in &[2usize, 4, 6] {
         for &ps in &[1.0f64, 0.25] {
             let ratios: Vec<f64> = (0..scale.seeds)
-                .into_par_iter()
                 .map(|seed| {
                     // All leaves at router-depth `depth` — every path has
                     // `depth − 1` interior hops to pipeline across.

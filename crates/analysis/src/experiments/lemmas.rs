@@ -11,7 +11,6 @@ use bct_sim::policy::Probe;
 use bct_sim::{SimConfig, SimView, Simulation};
 use bct_workloads::jobs::{ArrivalProcess, SizeDist, UnrelatedModel, WorkloadSpec};
 use bct_workloads::topo;
-use rayon::prelude::*;
 
 /// The Lemma-1/2/3 speed setting: unit speed at the root-adjacent
 /// layer, `1+ε` below it.
@@ -44,8 +43,7 @@ pub fn e3_lemma1_interior_wait(scale: Scale) -> Table {
     );
     for &eps in &[0.25f64, 0.5, 1.0] {
         let ratios: Vec<f64> = (0..scale.seeds)
-            .into_par_iter()
-            .flat_map_iter(|seed| {
+            .flat_map(|seed| {
                 let inst = heavy_instance(scale, 500 + seed);
                 let mut g = GreedyIdentical::new(eps);
                 let out = Simulation::run(
@@ -120,8 +118,7 @@ pub fn e4_lemma2_available_volume(scale: Scale) -> Table {
     );
     for &eps in &[0.25f64, 0.5, 1.0] {
         let ratios: Vec<f64> = (0..scale.seeds)
-            .into_par_iter()
-            .flat_map_iter(|seed| {
+            .flat_map(|seed| {
                 let inst = heavy_instance(scale, 600 + seed);
                 let mut probe = Lemma2Probe { eps, ratios: Vec::new() };
                 let mut g = GreedyIdentical::new(eps);
@@ -182,8 +179,7 @@ pub fn e5_lemma3_potential(scale: Scale) -> Table {
     );
     for &eps in &[0.25f64, 0.5, 1.0] {
         let ratios: Vec<f64> = (0..scale.seeds)
-            .into_par_iter()
-            .flat_map_iter(|seed| {
+            .flat_map(|seed| {
                 let inst = heavy_instance(scale, 700 + seed);
                 let last_job = JobId(inst.n() as u32 - 1);
                 let mut probe = PhiProbe { last_job, eps, snapshots: Vec::new() };
@@ -243,7 +239,6 @@ pub fn e7_lemma8_mirroring(scale: Scale) -> Table {
     ];
     for (label, mk) in families {
         let results: Vec<(usize, f64)> = (0..scale.seeds)
-            .into_par_iter()
             .map(|seed| {
                 let tree = mk(seed);
                 let inst = WorkloadSpec {
@@ -287,7 +282,6 @@ pub fn e8_dual_fitting(scale: Scale) -> Table {
     );
     // Identical (§3.5).
     let reports: Vec<_> = (0..scale.seeds)
-        .into_par_iter()
         .map(|seed| {
             let tree = topo::broomstick(2, 3, 1);
             let inst = WorkloadSpec {
@@ -305,7 +299,6 @@ pub fn e8_dual_fitting(scale: Scale) -> Table {
 
     // Unrelated (§3.6).
     let reports: Vec<_> = (0..scale.seeds)
-        .into_par_iter()
         .map(|seed| {
             let tree = topo::broomstick(2, 3, 1);
             let inst = WorkloadSpec {

@@ -17,7 +17,6 @@ use bct_core::SpeedProfile;
 use bct_workloads::jobs::SizeDist;
 use bct_workloads::jobs::WorkloadSpec;
 use bct_workloads::topo;
-use rayon::prelude::*;
 
 /// A named fixed topology.
 type NamedTopology = (&'static str, fn() -> bct_core::Tree);
@@ -40,7 +39,7 @@ pub fn e16_objective_tradeoffs(scale: Scale) -> Table {
             ("srpt", NodePolicyKind::Srpt),
         ];
         let rows: Vec<Vec<String>> = cells
-            .par_iter()
+            .iter()
             .map(|&(plabel, node)| {
                 let mut means = Vec::new();
                 let mut maxes = Vec::new();

@@ -15,7 +15,6 @@ use crate::table::{num, Table};
 use bct_core::SpeedProfile;
 use bct_workloads::jobs::{with_random_weights, SizeDist, WorkloadSpec};
 use bct_workloads::topo;
-use rayon::prelude::*;
 
 /// **E18 — weighted flow.** `Σ w_j F_j` under SJF vs HDF routing+leaf
 /// scheduling as the weight range widens.
@@ -26,7 +25,6 @@ pub fn e18_weighted_flow(scale: Scale) -> Table {
     );
     for &(lo, hi) in &[(1.0f64, 1.0f64), (1.0, 4.0), (1.0, 16.0)] {
         let pairs: Vec<(f64, f64)> = (0..scale.seeds)
-            .into_par_iter()
             .map(|seed| {
                 let tree = topo::fat_tree(2, 2, 2);
                 let base = WorkloadSpec::poisson_identical(

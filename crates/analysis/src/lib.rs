@@ -9,8 +9,9 @@
 //! * [`runner`] — a policy registry: run any (node policy × assignment
 //!   policy) combination on an instance by name.
 //! * [`experiments`] — the E1–E18 experiments of `DESIGN.md` /
-//!   `EXPERIMENTS.md`, each returning a rendered table. The experiment
-//!   sweeps are embarrassingly parallel and fan out with rayon.
+//!   `EXPERIMENTS.md`, each returning a rendered table. Each experiment
+//!   runs its seeds serially; [`experiments::run_all`] spreads whole
+//!   experiments over the harness worker pool.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -47,6 +47,12 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if let Some(accepted) = accepted_flags(&opts) {
+        if let Err(e) = opts.reject_unknown(accepted) {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    }
     let result = match opts.command.as_str() {
         "" => {
             eprintln!("{}", usage());
@@ -79,6 +85,41 @@ fn main() {
     }
 }
 
+/// Flags of [`build_instance`], shared by every command that builds one.
+const INSTANCE_FLAGS: &[&str] =
+    &["instance", "seed", "topo", "jobs", "sizes", "load", "unrelated", "origins"];
+
+/// Flags of `sweep --spec`, in every mode (plain, run dir, `--procs`).
+const SPEC_SWEEP_FLAGS: &[&str] = &[
+    "spec", "workers", "out", "summary-out", "quiet", "shard", "run-dir", "procs", "chunk-size",
+    "claim-timeout-ms", "claim-poll-ms",
+];
+
+/// The flags a command accepts, as sets to union; `None` for a command
+/// that does not exist (the dispatcher reports it).
+fn accepted_flags(opts: &Opts) -> Option<&'static [&'static [&'static str]]> {
+    Some(match opts.command.as_str() {
+        "" | "help" | "--help" | "-h" => &[],
+        "render" => &[&["topo", "seed", "dot"]],
+        "reduce" => &[&["topo", "seed"]],
+        "run" => &[INSTANCE_FLAGS, &["policy", "speeds"]],
+        "sweep" if !opts.get("spec", "").is_empty() => &[SPEC_SWEEP_FLAGS],
+        "sweep" => &[INSTANCE_FLAGS, &["speeds-list", "policies"]],
+        "bound" => &[INSTANCE_FLAGS, &["lp-steps"]],
+        "verify-dual" => &[&["eps", "seed", "jobs", "topo", "unrelated"]],
+        "experiments" => &[&["full", "json", "write"]],
+        "lemmas" => &[INSTANCE_FLAGS, &["eps", "policy"]],
+        "packetize" => &[INSTANCE_FLAGS, &["speeds", "policy", "packet-sizes"]],
+        "gen" => &[INSTANCE_FLAGS, &["out"]],
+        "serve" => &[&[
+            "topo", "seed", "policy", "speeds", "capacity", "bench", "jobs", "load", "sizes", "log",
+            "out", "unix", "listen",
+        ]],
+        "replay" => &[&["log", "policy"]],
+        _ => return None,
+    })
+}
+
 fn usage() -> String {
     "bct — scheduling in bandwidth-constrained tree networks (Im & Moseley, SPAA'15)\n\n\
      commands:\n  \
@@ -88,9 +129,7 @@ fn usage() -> String {
      sweep        with --spec FILE: parallel sweep over a declarative grid\n               \
      (topologies × workloads × policies × speeds × replications) with\n               \
      [--workers N] [--out rows.jsonl] [--summary-out FILE] [--quiet]\n               \
-     [--shard i/N] [--no-batch: disable the batched multi-cell runner;\n               \
-     rows are byte-identical either way]; exits 2 on a spec it rejects,\n               \
-     3 if cells failed.\n               \
+     [--shard i/N]; exits 2 on a spec it rejects, 3 if cells failed.\n               \
      [--run-dir DIR]: durable resumable run — checksummed rows land in\n               \
      DIR as they finish; re-invoking the same spec resumes (skips\n               \
      checksum-valid cells, hard error on spec mismatch), and N\n               \
@@ -116,8 +155,9 @@ fn usage() -> String {
      standalone bct-lint binary): local rules plus call-graph\n               \
      reachability; [--root DIR] [--machine FILE] [--baseline FILE]\n               \
      [--graph FILE]; exit 0 clean / 1 findings / 2 usage or IO error\n\n\
-     run `bct <command>` with no flags to see its defaults in action; see the\n\
-     crate docs for the full spec grammar (topologies, sizes, speeds, policies)."
+     run `bct <command>` with no flags to see its defaults in action; a flag\n\
+     the command does not accept is an error (exit 2). See the crate docs\n\
+     for the full spec grammar (topologies, sizes, speeds, policies)."
         .to_string()
 }
 
@@ -341,10 +381,6 @@ fn cmd_sweep_spec(opts: &Opts, path: &str) -> Result<(), String> {
             bct_harness::sweep::ProgressMode::Stderr
         },
         shard,
-        // Replication groups interleave through the batched runner by
-        // default; --no-batch is the per-cell escape hatch (and the
-        // oracle the smoke test diffs the batched output against).
-        batch: !opts.get_bool("no-batch"),
     };
     let out_path = opts.get("out", "sweep.jsonl");
     let file = std::fs::File::create(&out_path)
@@ -406,7 +442,6 @@ fn cmd_sweep_rundir(
             bct_harness::sweep::ProgressMode::Stderr
         },
         shard: None,
-        batch: !opts.get_bool("no-batch"),
     };
     let rd_opts = rundir_options(opts)?;
     let prev_hook = std::panic::take_hook();
@@ -459,9 +494,6 @@ fn cmd_sweep_procs(
             .arg(&child_out)
             .arg("--quiet")
             .stdout(std::process::Stdio::null());
-        if opts.get_bool("no-batch") {
-            cmd.arg("--no-batch");
-        }
         let child = cmd.spawn().map_err(|e| format!("spawning worker {i}: {e}"))?;
         children.push((i, child));
     }

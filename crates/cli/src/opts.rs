@@ -31,6 +31,23 @@ impl Opts {
         Ok(Opts { command, flags })
     }
 
+    /// Fail naming every given flag that is in none of `accepted`, so a
+    /// typo or a stale flag stops the command instead of being ignored.
+    pub fn reject_unknown(&self, accepted: &[&[&str]]) -> Result<(), String> {
+        let mut unknown: Vec<&str> = self
+            .flags
+            .keys()
+            .map(String::as_str)
+            .filter(|k| !accepted.iter().any(|set| set.contains(k)))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort_unstable();
+        let list: Vec<String> = unknown.iter().map(|k| format!("--{k}")).collect();
+        Err(format!("unknown flag {} for `bct {}`", list.join(", "), self.command))
+    }
+
     /// String flag with a default.
     pub fn get(&self, key: &str, default: &str) -> String {
         self.flags.get(key).cloned().unwrap_or_else(|| default.to_string())
@@ -97,6 +114,10 @@ mod tests {
         assert!(parse("run --x 1 --x 2").is_err());
         let o = parse("run --jobs abc").unwrap();
         assert!(o.get_usize("jobs", 0).is_err());
+        let o = parse("sweep --workers 3 --worker 3 --bogus").unwrap();
+        let err = o.reject_unknown(&[&["workers"]]).unwrap_err();
+        assert_eq!(err, "unknown flag --bogus, --worker for `bct sweep`");
+        assert!(o.reject_unknown(&[&["workers", "bogus"], &["worker"]]).is_ok());
     }
 
     #[test]

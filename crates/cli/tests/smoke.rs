@@ -121,37 +121,6 @@ fn sweep_summary_out_writes_deterministic_json() {
 }
 
 #[test]
-fn sweep_no_batch_matches_batched_output_on_the_checked_in_golden() {
-    // --no-batch forces the per-cell path; the batched runner (the
-    // default) must emit the same bytes for the checked-in golden
-    // sweep, or the escape hatch would silently change results.
-    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/golden_sweep.json");
-    let batched = tmp("golden_batched.jsonl");
-    let unbatched = tmp("golden_unbatched.jsonl");
-    for (path, extra) in [(&batched, None), (&unbatched, Some("--no-batch"))] {
-        let mut args = vec![
-            "sweep", "--spec", spec, "--workers", "2", "--out",
-            path.to_str().unwrap(), "--quiet",
-        ];
-        args.extend(extra);
-        let out = bct(&args);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    let a = std::fs::read_to_string(&batched).unwrap();
-    let b = std::fs::read_to_string(&unbatched).unwrap();
-    assert_eq!(a, b, "--no-batch changed the sorted JSONL");
-    assert!(!a.is_empty());
-    for path in [&batched, &unbatched] {
-        let _ = std::fs::remove_file(path);
-    }
-}
-
-#[test]
 fn sweep_with_failing_cells_exits_3() {
     let spec = write_spec(
         "chaos.json",
@@ -181,31 +150,92 @@ fn sweep_rejects_a_bad_spec_with_exit_2() {
     let _ = std::fs::remove_file(&spec);
 }
 
-/// A load that is not a positive finite number is bad input: the spec
-/// is rejected before any cell runs, naming the workload, with exit 2
-/// (not 3 with every cell failed, and not a silent `loadinf` run).
+/// A spec value the engine cannot run is bad input: the spec is
+/// rejected before any cell runs, naming the offending string, with
+/// exit 2 (not 3 with every cell failed, not a silent run of something
+/// else, and not a hang). Covers loads that are not positive and
+/// finite, and size, speed, policy and topology strings.
 #[test]
 fn sweep_rejects_non_positive_or_infinite_loads_with_exit_2() {
-    for (name, load, label) in [
-        ("load_zero.json", "0", "load0"),
-        ("load_negative.json", "-1", "load-1"),
-        ("load_overflow.json", "1e309", "loadinf"),
-    ] {
-        let body = TINY_SPEC.replace(r#"{"jobs": 10}"#, &format!(r#"{{"jobs": 10, "load": {load}}}"#));
-        assert!(body.contains(load), "spec rewrite failed: {body}");
-        let spec = write_spec(name, &body);
-        let out_path = tmp(&format!("{name}.rows.jsonl"));
+    let load = |v: &str| format!(r#"{{"jobs": 10, "load": {v}}}"#);
+    let sizes = |v: &str| format!(r#"{{"jobs": 10, "sizes": "{v}"}}"#);
+    let cases: Vec<(&str, String, &str)> = vec![
+        // (JSON fragment replaced, its replacement, expected message)
+        (r#"{"jobs": 10}"#, load("0"), "workload 'n10-load0-"),
+        (r#"{"jobs": 10}"#, load("-1"), "workload 'n10-load-1-"),
+        (r#"{"jobs": 10}"#, load("1e309"), "workload 'n10-loadinf-"),
+        (r#"{"jobs": 10}"#, sizes("pow:0,4"), "pow:0,4"),
+        (r#"{"jobs": 10}"#, sizes("pow:2,-1"), "pow:2,-1"),
+        (r#"{"jobs": 10}"#, sizes("fixed:0"), "fixed:0"),
+        (r#"{"jobs": 10}"#, sizes("pareto:1.5,-1"), "pareto:1.5,-1"),
+        (r#"{"jobs": 10}"#, sizes("pareto:1,1"), "pareto:1,1"),
+        (r#"{"jobs": 10}"#, sizes("uniform:3,1"), "uniform:3,1"),
+        (r#"{"jobs": 10}"#, sizes("bimodal:1,10,2"), "bimodal:1,10,2"),
+        ("uniform:1.5", "uniform:0".into(), "speeds 'uniform:0'"),
+        ("uniform:1.5", "uniform:-1".into(), "speeds 'uniform:-1'"),
+        ("uniform:1.5", "layered:0,1".into(), "speeds 'layered:0,1'"),
+        ("sjf+greedy:0.5", "sjf-classes:0+closest".into(), "policy 'sjf-classes:0+closest'"),
+        ("sjf+greedy:0.5", "sjf+greedy:-1".into(), "policy 'sjf+greedy:-1'"),
+        ("sjf+greedy:0.5", "sjf+greedy:nan".into(), "policy 'sjf+greedy:nan'"),
+        ("star:3,2", "star:0,2".into(), "topology 'star:0,2'"),
+        ("star:3,2", "star:2.7,2".into(), "topology 'star:2.7,2'"),
+        ("star:3,2", "line:0".into(), "topology 'line:0'"),
+        ("star:3,2", "kary:0,3".into(), "topology 'kary:0,3'"),
+        ("star:3,2", "fat-tree:0,2,2".into(), "topology 'fat-tree:0,2,2'"),
+        ("star:3,2", "random:0,4".into(), "topology 'random:0,4'"),
+        ("star:3,2", "broomstick:2,1,3".into(), "topology 'broomstick:2,1,3'"),
+        ("star:3,2", "kary:2,30".into(), "topology 'kary:2,30'"),
+    ];
+    for (i, (from, to, message)) in cases.iter().enumerate() {
+        let body = TINY_SPEC.replace(from, to);
+        assert!(body.contains(to.as_str()), "spec rewrite failed: {body}");
+        let spec = write_spec(&format!("rejected_{i}.json"), &body);
+        let out_path = tmp(&format!("rejected_{i}.rows.jsonl"));
         let out = bct(&[
             "sweep", "--spec", spec.to_str().unwrap(), "--out", out_path.to_str().unwrap(),
             "--quiet",
         ]);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "load {load}: stderr: {stderr}");
-        assert!(stderr.contains(&format!("workload 'n10-{label}-")), "load {load}: {stderr}");
-        assert!(stderr.contains("load must be positive and finite"), "load {load}: {stderr}");
-        assert!(!out_path.exists(), "load {load}: a rejected spec must not write rows");
+        assert_eq!(out.status.code(), Some(2), "{to}: stderr: {stderr}");
+        assert!(stderr.contains(message), "{to}: {stderr}");
+        if to.contains("load") {
+            assert!(stderr.contains("load must be positive and finite"), "{to}: {stderr}");
+        }
+        assert!(!out_path.exists(), "{to}: a rejected spec must not write rows");
         let _ = std::fs::remove_file(&spec);
     }
+}
+
+/// Every subcommand declares its flags: an unknown one (a typo, or the
+/// removed `--no-batch`) fails with exit 2 before any work, naming it.
+#[test]
+fn unknown_flags_exit_2_before_any_work() {
+    let spec = write_spec("unknown_flags.json", TINY_SPEC);
+    let out_path = tmp("unknown_flags.rows.jsonl");
+    let sweep = |flag: &str| {
+        bct(&[
+            "sweep", "--spec", spec.to_str().unwrap(), "--out", out_path.to_str().unwrap(),
+            "--quiet", flag,
+        ])
+    };
+    for (out, flag) in [
+        (sweep("--no-batch"), "--no-batch"),
+        (
+            bct(&[
+                "sweep", "--spec", spec.to_str().unwrap(), "--out", out_path.to_str().unwrap(),
+                "--worker", "3",
+            ]),
+            "--worker",
+        ),
+        (bct(&["run", "--topo", "star:2,2", "--jobs", "5", "--polcy", "sjf+closest"]), "--polcy"),
+    ] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: stderr: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag}: the command must not run");
+    }
+    assert!(!out_path.exists(), "a rejected sweep must not write rows");
+    let _ = std::fs::remove_file(&spec);
 }
 
 /// `bct lint` runs the same driver as the standalone bct-lint binary:

@@ -31,7 +31,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-// bct-lint: allow(d2) -- claim staleness and heartbeat throttling are wall-clock questions by definition; no clock value ever reaches a row (DESIGN.md §17)
+// bct-lint: allow(d2) -- claim staleness and heartbeat throttling are wall-clock questions by definition; no clock value ever reaches a row (DESIGN.md §16)
 use std::time::{Instant, SystemTime};
 
 /// The on-disk claim record. Advisory — ownership is the claim *path*

@@ -89,11 +89,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Run `f` under `catch_unwind` with the pool's bounded-retry rule:
 /// up to `1 + max_retries` attempts, identical inputs each time, the
 /// last error kept. Returns `(attempts consumed, terminal status)`.
-/// Public so callers that manage their own task granularity (the
-/// batched sweep path retries individual cells inside a pool-level
-/// group task) apply the exact same retry-and-panic semantics the pool
-/// applies to its own tasks.
-pub fn retrying<R>(
+fn retrying<R>(
     max_retries: u32,
     mut f: impl FnMut() -> Result<R, String>,
 ) -> (u32, TaskStatus<R>) {

@@ -45,79 +45,205 @@ fn arg(nums: &[f64], i: usize, what: &str) -> Result<f64, String> {
     }
 }
 
-/// Parse a topology spec; `seed` feeds `random:`.
-pub fn parse_topology(spec: &str, seed: u64) -> Result<Tree, String> {
-    let (name, n) = split(spec);
-    let u = |i: usize| -> Result<usize, String> {
-        arg(&n, i, name).map(|v| v.max(1.0) as usize)
-    };
-    match name {
-        "line" => Ok(topo::line(u(0)?)),
-        "star" => Ok(topo::star(u(0)?, u(1)?)),
-        "kary" => Ok(topo::kary(u(0)?, u(1)?)),
-        "caterpillar" => Ok(topo::caterpillar(u(0)?, u(1)?)),
-        "broomstick" => Ok(topo::broomstick(u(0)?, u(1)?.max(2), u(2)?)),
-        "fat-tree" | "fattree" => Ok(topo::fat_tree(u(0)?, u(1)?, u(2)?)),
-        "random" => {
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            Ok(topo::random_tree(&mut rng, u(0)?, u(1)?))
-        }
-        other => Err(format!("unknown topology '{other}'")),
+/// Argument `i` as a positive finite number.
+fn positive(nums: &[f64], i: usize, what: &str) -> Result<f64, String> {
+    let v = arg(nums, i, what)?;
+    if v > 0.0 {
+        Ok(v)
+    } else {
+        Err(format!("argument {i} for {what} must be positive, got {v}"))
     }
 }
 
-/// Whether a topology spec consumes the cell seed — i.e. whether two
-/// cells with the same spec string but different seeds can yield
-/// different trees. The batched sweep path parses seed-invariant
-/// topologies once per replication group and shares the parsed tree
-/// (path tables included) across every lane; seeded specs are parsed
-/// per cell inside the group instead.
-pub fn topology_is_seeded(spec: &str) -> bool {
-    split(spec).0 == "random"
+/// Optional argument `i`: `default` when absent, otherwise as
+/// [`positive`].
+fn positive_or(nums: &[f64], i: usize, what: &str, default: f64) -> Result<f64, String> {
+    if i < nums.len() {
+        positive(nums, i, what)
+    } else {
+        Ok(default)
+    }
 }
 
-/// Parse a size-distribution spec.
+/// Argument `i` as a count: a positive integer.
+fn count(nums: &[f64], i: usize, what: &str) -> Result<usize, String> {
+    let v = arg(nums, i, what)?;
+    if v < 1.0 || v.fract() > 0.0 {
+        return Err(format!("argument {i} for {what} must be a positive integer, got {v}"));
+    }
+    // Saturates above usize::MAX; the node bound rejects such counts.
+    Ok(v as usize)
+}
+
+/// Largest tree a topology spec may build, in nodes. The largest
+/// checked-in topology, `fat-tree:16,8,8`, has 1,169.
+const MAX_TOPOLOGY_NODES: usize = 1 << 20;
+
+/// Nodes of `kary:K,D` below the root: `K + K² + … + K^D` routers plus
+/// `K^D` machines, or `None` on overflow.
+fn kary_nodes(k: usize, depth: usize) -> Option<usize> {
+    let (mut level, mut total) = (1usize, 0usize);
+    for _ in 0..depth {
+        level = level.checked_mul(k)?;
+        total = total.checked_add(level)?;
+    }
+    total.checked_add(level)
+}
+
+/// A topology spec that passed [`shape`]: its family and counts.
+enum Shape {
+    Line(usize),
+    Star(usize, usize),
+    Kary(usize, usize),
+    Caterpillar(usize, usize),
+    Broomstick(usize, usize, usize),
+    FatTree(usize, usize, usize),
+    Random(usize, usize),
+}
+
+/// Check a topology spec without building it: every count must be a
+/// positive integer, and the tree must fit in [`MAX_TOPOLOGY_NODES`].
+fn shape(spec: &str) -> Result<Shape, String> {
+    let (name, n) = split(spec);
+    let c = |i: usize| count(&n, i, name);
+    let (shape, below_root) = match name {
+        "line" => {
+            let r = c(0)?;
+            (Shape::Line(r), r.checked_add(1))
+        }
+        "star" => {
+            let (b, d) = (c(0)?, c(1)?);
+            (Shape::Star(b, d), d.checked_add(1).and_then(|v| v.checked_mul(b)))
+        }
+        "kary" => {
+            let (k, d) = (c(0)?, c(1)?);
+            (Shape::Kary(k, d), kary_nodes(k, d))
+        }
+        "caterpillar" => {
+            let (s, l) = (c(0)?, c(1)?);
+            (Shape::Caterpillar(s, l), l.checked_add(1).and_then(|v| v.checked_mul(s)))
+        }
+        "broomstick" => {
+            let (h, len, l) = (c(0)?, c(1)?, c(2)?);
+            if len < 2 {
+                return Err(format!("argument 1 for broomstick must be at least 2, got {len}"));
+            }
+            // Per handle: `len` chain nodes, `l` machines on all but the
+            // first.
+            let nodes = (len - 1)
+                .checked_mul(l)
+                .and_then(|v| v.checked_add(len))
+                .and_then(|v| v.checked_mul(h));
+            (Shape::Broomstick(h, len, l), nodes)
+        }
+        "fat-tree" | "fattree" => {
+            let (p, e, h) = (c(0)?, c(1)?, c(2)?);
+            let nodes = h
+                .checked_add(1)
+                .and_then(|v| v.checked_mul(e))
+                .and_then(|v| v.checked_add(1))
+                .and_then(|v| v.checked_mul(p));
+            (Shape::FatTree(p, e, h), nodes)
+        }
+        "random" => {
+            let (r, l) = (c(0)?, c(1)?);
+            // At most `r` routers, `l` machines, and one extra machine
+            // per childless root-adjacent router.
+            (Shape::Random(r, l), r.checked_mul(2).and_then(|v| v.checked_add(l)))
+        }
+        other => return Err(format!("unknown topology '{other}'")),
+    };
+    match below_root {
+        Some(v) if v < MAX_TOPOLOGY_NODES => Ok(shape),
+        _ => Err(format!("{name} would build more than {MAX_TOPOLOGY_NODES} nodes")),
+    }
+}
+
+/// Check a topology spec as [`parse_topology`] does, without building
+/// the tree.
+pub(crate) fn check_topology(spec: &str) -> Result<(), String> {
+    shape(spec).map(|_| ())
+}
+
+/// Parse a topology spec; `seed` feeds `random:`. Fails as
+/// [`check_topology`] does, before anything is built.
+pub fn parse_topology(spec: &str, seed: u64) -> Result<Tree, String> {
+    Ok(match shape(spec)? {
+        Shape::Line(r) => topo::line(r),
+        Shape::Star(b, d) => topo::star(b, d),
+        Shape::Kary(k, d) => topo::kary(k, d),
+        Shape::Caterpillar(s, l) => topo::caterpillar(s, l),
+        Shape::Broomstick(h, len, l) => topo::broomstick(h, len, l),
+        Shape::FatTree(p, e, h) => topo::fat_tree(p, e, h),
+        Shape::Random(r, l) => {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            topo::random_tree(&mut rng, r, l)
+        }
+    })
+}
+
+/// Parse a size-distribution spec. Every size it can draw is positive
+/// and finite, and a Pareto law has a finite mean.
 pub fn parse_sizes(spec: &str) -> Result<SizeDist, String> {
     let (name, n) = split(spec);
     match name {
-        "fixed" => Ok(SizeDist::Fixed(arg(&n, 0, name)?)),
-        "uniform" => Ok(SizeDist::Uniform {
-            lo: arg(&n, 0, name)?,
-            hi: arg(&n, 1, name)?,
-        }),
-        "pareto" => Ok(SizeDist::Pareto {
-            alpha: arg(&n, 0, name)?,
-            min: arg(&n, 1, name)?,
-        }),
-        "bimodal" => Ok(SizeDist::Bimodal {
-            small: arg(&n, 0, name)?,
-            large: arg(&n, 1, name)?,
-            p_large: arg(&n, 2, name)?,
-        }),
-        "pow" => Ok(SizeDist::PowerOfBase {
-            base: arg(&n, 0, name)?,
-            max_k: arg(&n, 1, name)? as u32,
-        }),
+        "fixed" => Ok(SizeDist::Fixed(positive(&n, 0, name)?)),
+        "uniform" => {
+            let (lo, hi) = (positive(&n, 0, name)?, positive(&n, 1, name)?);
+            if hi < lo {
+                return Err(format!("uniform needs LO <= HI, got {lo} > {hi}"));
+            }
+            Ok(SizeDist::Uniform { lo, hi })
+        }
+        "pareto" => {
+            let alpha = arg(&n, 0, name)?;
+            if alpha <= 1.0 {
+                return Err(format!("pareto needs ALPHA > 1 (a finite mean), got {alpha}"));
+            }
+            Ok(SizeDist::Pareto { alpha, min: positive(&n, 1, name)? })
+        }
+        "bimodal" => {
+            let (small, large) = (positive(&n, 0, name)?, positive(&n, 1, name)?);
+            let p_large = arg(&n, 2, name)?;
+            if !(0.0..=1.0).contains(&p_large) {
+                return Err(format!("bimodal needs PLARGE in [0, 1], got {p_large}"));
+            }
+            Ok(SizeDist::Bimodal { small, large, p_large })
+        }
+        "pow" => {
+            let base = arg(&n, 0, name)?;
+            if base <= 1.0 {
+                return Err(format!("pow needs BASE > 1, got {base}"));
+            }
+            let max_k = arg(&n, 1, name)?;
+            if max_k < 0.0 || max_k.fract() > 0.0 || !base.powf(max_k).is_finite() {
+                return Err(format!(
+                    "pow needs MAXK a non-negative integer with BASE^MAXK finite, got {max_k}"
+                ));
+            }
+            Ok(SizeDist::PowerOfBase { base, max_k: max_k as u32 })
+        }
         other => Err(format!("unknown size distribution '{other}'")),
     }
 }
 
-/// Parse a speed-profile spec.
+/// Parse a speed-profile spec. Speeds and `EPS` must be positive.
 pub fn parse_speeds(spec: &str) -> Result<SpeedProfile, String> {
     let (name, n) = split(spec);
     match name {
-        "uniform" => Ok(SpeedProfile::Uniform(arg(&n, 0, name)?)),
+        "uniform" => Ok(SpeedProfile::Uniform(positive(&n, 0, name)?)),
         "layered" => Ok(SpeedProfile::Layered {
-            root_adjacent: arg(&n, 0, name)?,
-            deeper: arg(&n, 1, name)?,
+            root_adjacent: positive(&n, 0, name)?,
+            deeper: positive(&n, 1, name)?,
         }),
-        "paper-identical" => Ok(SpeedProfile::paper_identical(arg(&n, 0, name)?)),
-        "paper-unrelated" => Ok(SpeedProfile::paper_unrelated(arg(&n, 0, name)?)),
+        "paper-identical" => Ok(SpeedProfile::paper_identical(positive(&n, 0, name)?)),
+        "paper-unrelated" => Ok(SpeedProfile::paper_unrelated(positive(&n, 0, name)?)),
         other => Err(format!("unknown speed profile '{other}'")),
     }
 }
 
-/// Parse a `node+assign` policy spec.
+/// Parse a `node+assign` policy spec. Every `EPS` must be positive;
+/// the greedy rules default to 0.5 when it is omitted.
 pub fn parse_policy(spec: &str) -> Result<PolicyCombo, String> {
     let (node_s, assign_s) = spec
         .split_once('+')
@@ -125,7 +251,7 @@ pub fn parse_policy(spec: &str) -> Result<PolicyCombo, String> {
     let (nname, nn) = split(node_s);
     let node = match nname {
         "sjf" => NodePolicyKind::Sjf,
-        "sjf-classes" => NodePolicyKind::SjfClasses(arg(&nn, 0, nname)?),
+        "sjf-classes" => NodePolicyKind::SjfClasses(positive(&nn, 0, nname)?),
         "fifo" => NodePolicyKind::Fifo,
         "srpt" => NodePolicyKind::Srpt,
         "ljf" => NodePolicyKind::Ljf,
@@ -134,9 +260,9 @@ pub fn parse_policy(spec: &str) -> Result<PolicyCombo, String> {
     };
     let (aname, an) = split(assign_s);
     let assign = match aname {
-        "greedy" => AssignKind::GreedyIdentical(arg(&an, 0, aname).unwrap_or(0.5)),
-        "greedy-unrel" => AssignKind::GreedyUnrelated(arg(&an, 0, aname).unwrap_or(0.5)),
-        "greedy-no-dist" => AssignKind::GreedyNoDistance(arg(&an, 0, aname).unwrap_or(0.5)),
+        "greedy" => AssignKind::GreedyIdentical(positive_or(&an, 0, aname, 0.5)?),
+        "greedy-unrel" => AssignKind::GreedyUnrelated(positive_or(&an, 0, aname, 0.5)?),
+        "greedy-no-dist" => AssignKind::GreedyNoDistance(positive_or(&an, 0, aname, 0.5)?),
         "closest" => AssignKind::Closest,
         "random" => AssignKind::Random(arg(&an, 0, aname).unwrap_or(0.0) as u64),
         "round-robin" => AssignKind::RoundRobin,

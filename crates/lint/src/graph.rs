@@ -30,7 +30,7 @@
 //! reachability rules (a2/p2/d4) err toward missing a chain rather than
 //! inventing one, because a false transitive finding would force a
 //! bogus allow. Trait-dispatched calls (`T::default()`, `dyn` methods)
-//! are therefore out of reach by design; DESIGN.md §16 records this.
+//! are therefore out of reach by design; DESIGN.md §15 records this.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -220,7 +220,9 @@ impl Simulation {
     /// over the same topology shape are allocation-free in steady state
     /// (pair with [`SimScratch::recycle`] to also reuse the outcome
     /// vectors). Results are bit-identical to a fresh run — the
-    /// aggregate treap re-seeds its priority stream on reset.
+    /// aggregate treap re-seeds its priority stream on reset. On error
+    /// every buffer is still handed back, so `scratch` stays reusable.
+    // bct-lint: no_alloc
     pub fn run_with_scratch<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized, P: Probe + ?Sized>(
         scratch: &mut SimScratch,
         instance: &Instance,
@@ -229,28 +231,147 @@ impl Simulation {
         probe: &mut P,
         cfg: &SimConfig,
     ) -> Result<SimOutcome, SimError> {
+        let dynamic = !cfg.mutations.is_empty();
+        if dynamic {
+            Self::validate_dynamic(instance, cfg)?;
+        }
+        cfg.speeds
+            .materialize_into(instance.tree(), &mut scratch.speeds)
+            .map_err(SimError::BadSpeeds)?;
         // Queue aggregates only answer view queries; skip maintaining
         // them when nobody in this run will ask.
         let track_aggs = assignment.needs_aggregates() || probe.needs_aggregates();
-        let mut lane = RunLane::start(scratch, instance, track_aggs, cfg)?;
-        loop {
-            match lane.step(node_policy, assignment, probe, cfg) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => {
-                    lane.abort(scratch);
-                    return Err(e);
+        let mut st = SimState::from_scratch(
+            instance,
+            cfg.dispatch_rounding,
+            track_aggs,
+            cfg.aggregates,
+            dynamic,
+            scratch,
+        );
+        let mut trace = cfg.record_trace.then(Trace::default);
+        let mut evq = mem::take(&mut scratch.evq);
+        evq.reset(cfg.event_queue);
+        // Topology mutations ride the pending-event queue as sentinel
+        // events (node = TOPO_NODE, version = schedule index). Pushed
+        // first, they take the smallest sequence numbers, so at equal
+        // times a mutation pops before any hop completion — and the
+        // finish-before-arrival tie rule then puts it before arrivals
+        // too: mutations > completions > arrivals at one instant.
+        for (i, tm) in cfg.mutations.iter().enumerate() {
+            evq.push(tm.at, TOPO_NODE, i as u64);
+        }
+        let mut drained = mem::take(&mut scratch.drained);
+        let mut freed = mem::take(&mut scratch.freed);
+        let mut doomed = mem::take(&mut scratch.doomed);
+        let jobs = instance.jobs();
+        // Cursor into `jobs` (releases are validated non-decreasing, so
+        // arrivals never need the event queue).
+        let mut next_arrival = 0;
+        let mut events = 0u64;
+        let result = loop {
+            let fin_t = evq.peek_time();
+            let arr_t = jobs.get(next_arrival).map(|j| j.release);
+            // At equal times, hop completions run before arrivals so
+            // dispatch decisions see settled queues.
+            let (take_finish, t) = match (fin_t, arr_t) {
+                (None, None) => break Ok(()),
+                (Some(ft), None) => (true, ft),
+                (None, Some(at)) => (false, at),
+                (Some(ft), Some(at)) if ft <= at => (true, ft),
+                (Some(_), Some(at)) => (false, at),
+            };
+            if cfg.horizon.is_some_and(|h| t > h) {
+                break Ok(());
+            }
+            events += 1;
+            if events > cfg.max_events {
+                break Err(SimError::EventBudgetExceeded(cfg.max_events));
+            }
+            st.advance(t);
+            if take_finish {
+                let Some(FinishEv { node, version, .. }) = evq.pop() else {
+                    debug_assert!(false, "take_finish implies a peeked event");
+                    break Ok(());
+                };
+                if node == TOPO_NODE {
+                    // A scheduled topology mutation; `version` is its
+                    // schedule index. Must be checked before the
+                    // node_version lookup — the sentinel id is out of
+                    // bounds for the node tables.
+                    let tm = &cfg.mutations[version as usize];
+                    if let Err(e) = Self::apply_topo(
+                        &mut st,
+                        tm.change,
+                        node_policy,
+                        assignment,
+                        &mut trace,
+                        &mut evq,
+                        &cfg.speeds,
+                        &mut drained,
+                        &mut freed,
+                        &mut doomed,
+                    ) {
+                        break Err(e);
+                    }
+                } else {
+                    match Self::handle_finish(
+                        &mut st,
+                        node,
+                        version,
+                        node_policy,
+                        assignment,
+                        &mut trace,
+                        &mut evq,
+                    ) {
+                        // Stale: the node's job changed since scheduling
+                        // (no `on_event` either).
+                        None => continue,
+                        Some(job) => probe.on_hop_complete(&st.view(), job, node),
+                    }
                 }
+            } else {
+                let job = jobs[next_arrival].id;
+                next_arrival += 1;
+                let leaf = assignment.assign(&st.view(), job);
+                if !st.tree().is_leaf(leaf) {
+                    break Err(SimError::AssignmentNotALeaf { job, node: leaf });
+                }
+                st.admit(job, leaf);
+                if let Some(tr) = trace.as_mut() {
+                    tr.push(t, leaf, job, TraceKind::Arrive);
+                }
+                let first = st.view().path(job)[0];
+                Self::offer(&mut st, first, job, node_policy, &mut trace, &mut evq);
+                probe.on_arrival(&st.view(), job, leaf);
+            }
+            probe.on_event(&st.view());
+        };
+        scratch.drained = drained;
+        scratch.freed = freed;
+        scratch.doomed = doomed;
+        if let Err(e) = result {
+            st.release_into(scratch);
+            scratch.evq = evq;
+            return Err(e);
+        }
+        // Account integrals up to the horizon even if the last event was
+        // earlier (or later events were cut off).
+        if let Some(h) = cfg.horizon {
+            if st.view().now() < h {
+                st.advance(h);
             }
         }
-        Ok(lane.finish(scratch, cfg))
+        let out = Self::collect(st, scratch, trace, events);
+        scratch.evq = evq;
+        Ok(out)
     }
 
     /// Process one popped finish event: skip it if stale (the node's
     /// current job changed since it was scheduled), otherwise finish
     /// the hop, forward or complete the job, and let the node pull its
     /// next waiting job. Returns the job whose hop finished, `None` on
-    /// a stale event. Shared by the batch run loop above and the online
+    /// a stale event. Shared by the run loop above and the online
     /// session's event drain.
     // bct-lint: no_alloc
     #[allow(clippy::too_many_arguments)]
@@ -510,200 +631,5 @@ impl Simulation {
             unfinished,
             trace,
         }
-    }
-}
-
-/// One resumable event loop: the state a single run threads through its
-/// `loop { … }` body, reified so the loop can be driven one event at a
-/// time. [`Simulation::run_with_scratch`] drives one lane to completion;
-/// [`crate::batch::run_batch`] round-robins a step across many lanes,
-/// interleaving several independent cells' event loops on one core.
-/// Each lane owns its cell's entire mutable state (job table, event
-/// queue, aggregates), so the interleaving order cannot affect any
-/// lane's outputs — batched runs are byte-identical to solo runs by
-/// construction, and the differential suite checks it anyway.
-pub(crate) struct RunLane<'a> {
-    instance: &'a Instance,
-    st: SimState<'a>,
-    evq: EventQueue,
-    trace: Option<Trace>,
-    /// Cursor into `instance.jobs()` (releases are validated
-    /// non-decreasing, so arrivals never need the event queue).
-    next_arrival: usize,
-    events: u64,
-    // Mutation-event work lists, held out of the scratch for the lane's
-    // lifetime so `step` never needs the `SimScratch` itself.
-    drained: Vec<(JobId, NodeId)>,
-    freed: Vec<NodeId>,
-    doomed: Vec<NodeId>,
-}
-
-impl<'a> RunLane<'a> {
-    /// Validate the configuration and set up the lane's state from the
-    /// scratch's pooled buffers. On error the scratch is left intact.
-    pub(crate) fn start(
-        scratch: &mut SimScratch,
-        instance: &'a Instance,
-        track_aggs: bool,
-        cfg: &SimConfig,
-    ) -> Result<RunLane<'a>, SimError> {
-        let dynamic = !cfg.mutations.is_empty();
-        if dynamic {
-            Simulation::validate_dynamic(instance, cfg)?;
-        }
-        cfg.speeds
-            .materialize_into(instance.tree(), &mut scratch.speeds)
-            .map_err(SimError::BadSpeeds)?;
-        let st = SimState::from_scratch(
-            instance,
-            cfg.dispatch_rounding,
-            track_aggs,
-            cfg.aggregates,
-            dynamic,
-            scratch,
-        );
-        let trace = cfg.record_trace.then(Trace::default);
-        let mut evq = mem::take(&mut scratch.evq);
-        evq.reset(cfg.event_queue);
-        // Topology mutations ride the pending-event queue as sentinel
-        // events (node = TOPO_NODE, version = schedule index). Pushed
-        // first, they take the smallest sequence numbers, so at equal
-        // times a mutation pops before any hop completion — and the
-        // finish-before-arrival tie rule then puts it before arrivals
-        // too: mutations > completions > arrivals at one instant.
-        for (i, tm) in cfg.mutations.iter().enumerate() {
-            evq.push(tm.at, TOPO_NODE, i as u64);
-        }
-        Ok(RunLane {
-            instance,
-            st,
-            evq,
-            trace,
-            next_arrival: 0,
-            events: 0,
-            drained: mem::take(&mut scratch.drained),
-            freed: mem::take(&mut scratch.freed),
-            doomed: mem::take(&mut scratch.doomed),
-        })
-    }
-
-    /// Process the next event (hop completion, arrival, or topology
-    /// mutation). Returns `Ok(true)` if an event was processed,
-    /// `Ok(false)` when the lane is done (no pending work, or the
-    /// horizon cut the rest off). After an `Err` the lane must be
-    /// retired with [`RunLane::abort`].
-    // bct-lint: no_alloc
-    pub(crate) fn step<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized, P: Probe + ?Sized>(
-        &mut self,
-        node_policy: &N,
-        assignment: &mut A,
-        probe: &mut P,
-        cfg: &SimConfig,
-    ) -> Result<bool, SimError> {
-        let jobs_list = self.instance.jobs();
-        let fin_t = self.evq.peek_time();
-        let arr_t = jobs_list.get(self.next_arrival).map(|j| j.release);
-        // At equal times, hop completions run before arrivals so
-        // dispatch decisions see settled queues.
-        let (take_finish, t) = match (fin_t, arr_t) {
-            (None, None) => return Ok(false),
-            (Some(ft), None) => (true, ft),
-            (None, Some(at)) => (false, at),
-            (Some(ft), Some(at)) if ft <= at => (true, ft),
-            (Some(_), Some(at)) => (false, at),
-        };
-        if cfg.horizon.is_some_and(|h| t > h) {
-            return Ok(false);
-        }
-        self.events += 1;
-        if self.events > cfg.max_events {
-            return Err(SimError::EventBudgetExceeded(cfg.max_events));
-        }
-        self.st.advance(t);
-        if take_finish {
-            let Some(FinishEv { node, version, .. }) = self.evq.pop() else {
-                debug_assert!(false, "take_finish implies a peeked event");
-                return Ok(false);
-            };
-            if node == TOPO_NODE {
-                // A scheduled topology mutation; `version` is its
-                // schedule index. Must be checked before the
-                // node_version lookup — the sentinel id is out of
-                // bounds for the node tables.
-                let tm = &cfg.mutations[version as usize];
-                Simulation::apply_topo(
-                    &mut self.st,
-                    tm.change,
-                    node_policy,
-                    assignment,
-                    &mut self.trace,
-                    &mut self.evq,
-                    &cfg.speeds,
-                    &mut self.drained,
-                    &mut self.freed,
-                    &mut self.doomed,
-                )?;
-                probe.on_event(&self.st.view());
-                return Ok(true);
-            }
-            match Simulation::handle_finish(
-                &mut self.st,
-                node,
-                version,
-                node_policy,
-                assignment,
-                &mut self.trace,
-                &mut self.evq,
-            ) {
-                // Stale: the node's job changed since scheduling. (No
-                // `on_event` either — the solo loop `continue`d here.)
-                None => return Ok(true),
-                Some(job) => probe.on_hop_complete(&self.st.view(), job, node),
-            }
-        } else {
-            let job = jobs_list[self.next_arrival].id;
-            self.next_arrival += 1;
-            let leaf = assignment.assign(&self.st.view(), job);
-            if !self.st.tree().is_leaf(leaf) {
-                return Err(SimError::AssignmentNotALeaf { job, node: leaf });
-            }
-            self.st.admit(job, leaf);
-            if let Some(tr) = self.trace.as_mut() {
-                tr.push(t, leaf, job, TraceKind::Arrive);
-            }
-            let first = self.st.view().path(job)[0];
-            Simulation::offer(&mut self.st, first, job, node_policy, &mut self.trace, &mut self.evq);
-            probe.on_arrival(&self.st.view(), job, leaf);
-        }
-        probe.on_event(&self.st.view());
-        Ok(true)
-    }
-
-    /// Close out a finished lane: account integrals up to the horizon
-    /// even if the last event was earlier (or later events were cut
-    /// off), assemble the outcome, and hand every buffer back to
-    /// `scratch`.
-    pub(crate) fn finish(mut self, scratch: &mut SimScratch, cfg: &SimConfig) -> SimOutcome {
-        if let Some(h) = cfg.horizon {
-            if self.st.view().now() < h {
-                self.st.advance(h);
-            }
-        }
-        scratch.drained = self.drained;
-        scratch.freed = self.freed;
-        scratch.doomed = self.doomed;
-        let out = Simulation::collect(self.st, scratch, self.trace, self.events);
-        scratch.evq = self.evq;
-        out
-    }
-
-    /// Retire an errored lane, returning its buffers to `scratch` so the
-    /// scratch stays reusable after a failed run.
-    pub(crate) fn abort(self, scratch: &mut SimScratch) {
-        self.st.release_into(scratch);
-        scratch.evq = self.evq;
-        scratch.drained = self.drained;
-        scratch.freed = self.freed;
-        scratch.doomed = self.doomed;
     }
 }

@@ -1,4 +1,4 @@
-//! Online dispatch sessions: the batch engine's event loop, cut at the
+//! Online dispatch sessions: the run loop of [`Simulation::run`], cut at the
 //! command boundary.
 //!
 //! [`crate::Simulation`] consumes a complete [`Instance`] and runs it to
@@ -6,7 +6,7 @@
 //! advances the very same state machine one command at a time — submit
 //! a job, apply a topology mutation, advance the clock — so a network
 //! service (bct-serve) can drive the simulator from a socket while
-//! keeping every determinism guarantee the batch engine has.
+//! keeping every determinism guarantee the run loop has.
 //!
 //! Under `#![forbid(unsafe_code)]` a self-referential "state that owns
 //! its instance" is impossible, so the session uses a
@@ -17,16 +17,16 @@
 //! does its work through the engine's own shared helpers
 //! ([`Simulation::handle_finish`], [`Simulation::offer`],
 //! [`Simulation::apply_topo`]), and disassembles again. Feeding a
-//! session the commands of a batch run reproduces the batch schedule
+//! session the commands of a whole run reproduces its schedule
 //! exactly; the differential test below pins that.
 //!
-//! Event-ordering contract, matching the batch engine at every shared
+//! Event-ordering contract, matching the run loop at every shared
 //! point: commands execute in arrival order at non-decreasing times;
 //! within one command, pending hop completions at times `≤ t` are
 //! drained (completions before arrivals at equal times) before the
 //! command's own effect. A mutation command applies at the session's
 //! current time, after any completions already drained — the one
-//! (documented) divergence from batch runs, where a mutation scheduled
+//! (documented) divergence from whole runs, where a mutation scheduled
 //! at `t` precedes completions at `t`.
 
 use crate::engine::{SimError, Simulation};
@@ -141,7 +141,7 @@ impl SimSession {
     /// [`SimSession::submit`], so the session always runs in the
     /// identical-endpoint, root-released setting (the only one whose
     /// lookup tables survive topology mutations — the same restriction
-    /// the batch engine's dynamic mode has).
+    /// the run loop's dynamic mode has).
     pub fn new(tree: Tree, cfg: SessionConfig) -> Result<SimSession, SessionError> {
         if matches!(cfg.speeds, SpeedProfile::Explicit(_)) {
             return Err(SessionError::Unsupported(
@@ -178,7 +178,7 @@ impl SimSession {
     /// Submit a job released at `release` (≥ the session clock) with
     /// processing requirement `size`: pending completions up to
     /// `release` are drained first, then the assignment policy picks a
-    /// leaf against the settled queues — exactly the batch engine's
+    /// leaf against the settled queues — exactly the run loop's
     /// arrival handling. Returns the job's id and assigned leaf.
     ///
     /// On [`SimError::AssignmentNotALeaf`] the job stays registered but
@@ -256,11 +256,11 @@ impl SimSession {
     /// Apply a topology mutation at the session's current time. The
     /// mutation is validated against a staged copy of the tree first,
     /// so a rejected mutation leaves the session untouched (unlike the
-    /// batch engine, whose mid-run mutation failures abort the whole
+    /// run loop, whose mid-run mutation failures abort the whole
     /// run). Returns the new topology epoch.
     ///
     /// In-flight jobs whose leaf disappears are drained and
-    /// re-dispatched through `assignment`, exactly as in a batch run's
+    /// re-dispatched through `assignment`, exactly as in a whole run's
     /// mutation event; a non-leaf re-assignment surfaces as
     /// [`SimError::AssignmentNotALeaf`] and leaves the session in the
     /// partially redispatched (but still deterministic) state.
@@ -400,7 +400,7 @@ impl SimSession {
 }
 
 /// Drain every pending finish event at times `≤ t` (completions before
-/// the command's own effect, matching the batch engine's tie rule),
+/// the command's own effect, matching the run loop's tie rule),
 /// then advance the clock to exactly `t`.
 // bct-lint: no_alloc
 fn drain_until(

@@ -316,7 +316,7 @@ impl<'a> SimState<'a> {
             q.clear();
         }
         while q_members.len() < m {
-            // bct-lint: allow(a2) -- cold lane start only; warm runs reuse scratch capacity
+            // bct-lint: allow(a2) -- cold scratch only; warm runs reuse scratch capacity
             q_members.push(Vec::new());
         }
         let mut aggs = mem::take(&mut scratch.aggs);
@@ -329,7 +329,7 @@ impl<'a> SimState<'a> {
                     t.clone_from(instance.tree());
                     t
                 }
-                // bct-lint: allow(a2) -- first dynamic run on a cold lane; warm runs clone_from above
+                // bct-lint: allow(a2) -- first dynamic run on a cold scratch; warm runs clone_from above
                 None => instance.tree().clone(),
             })
         } else {
@@ -375,7 +375,7 @@ impl<'a> SimState<'a> {
     /// jobs appended to the instance since the last suspend, and restore
     /// the scalar accumulators. The inverse of [`SimState::suspend_into`],
     /// and the session counterpart of [`SimState::from_scratch`] (which
-    /// resets everything for a fresh batch run).
+    /// resets everything for a fresh run).
     ///
     /// The live topology is taken from `scratch.topo` as-is — never
     /// re-cloned from the instance, whose tree is frozen at the epoch the
