@@ -13,10 +13,18 @@ cargo test -q --workspace
 # fail loudly on its own line).
 cargo test -q --release -p bct-sim --test differential_queue
 # Dispatch-scoring differential suite: aggregate queries bit-identical
-# to the scan oracle, and the greedy/least-volume rules (entry-node term
-# computed once per run of leaves) picking exactly the leaf of a
+# to the scan oracle, and the greedy/least-volume rules (scoring once
+# per run of leaves sharing an entry node and a path length, on random
+# trees, generator topologies with long runs and mixed-depth entry
+# subtrees, and jobs with leaf origins) picking exactly the leaf of a
 # one-leaf-at-a-time argmin over the same scores.
 cargo test -q --release -p bct-sched --test differential
+# The same exactness at scale: 1024 leaves in 16 runs, entry queues in
+# the hundreds. The dispatch bench asserts greedy-identical and
+# least-volume `assign` pick the leaf of their per-leaf loops at every
+# sampled arrival. Its timings are reported; its one timing check is
+# the same-run naive/aggregate ratio (>= 5x) it has always asserted.
+cargo bench -q -p bct-bench --bench dispatch
 cargo test -q --release -p bct-sim --test scratch_alloc
 
 # Dynamic-topology differential suite (PR-6 contract): random mutation

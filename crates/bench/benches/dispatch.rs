@@ -6,16 +6,23 @@
 //! at sampled arrivals a probe times full greedy assignments two ways:
 //! a per-leaf loop — score every leaf through `GreedyIdentical::score`,
 //! take the argmin — and `GreedyIdentical::assign`, the dispatch the
-//! sweep runs, which computes the entry-node term once per entry node
-//! (16 here) instead of once per leaf. Both must pick the same leaf.
-//! Both variants run the *same* scoring code: the "aggregate" run keys
-//! the engine's queue aggregates like the policy (fast path taken), the
-//! "naive" run mis-keys them (class-rounded engine vs raw-size policy),
-//! so every query falls back to the scan oracle. Only the time inside
-//! the scoring calls is measured.
+//! sweep runs, which scores once per run of leaves sharing an entry
+//! node and a path length (16 here) instead of once per leaf. Both must
+//! pick the same leaf. Both variants run the *same* scoring code: the
+//! "aggregate" run keys the engine's queue aggregates like the policy
+//! (fast path taken), the "naive" run mis-keys them (class-rounded
+//! engine vs raw-size policy), so every query falls back to the scan
+//! oracle. Only the time inside the scoring calls is measured.
+//!
+//! The probe times the least-volume baseline the same two ways: a
+//! per-leaf loop that scans the entry queue and the leaf queue of every
+//! leaf and adds its path work, against `LeastVolume::assign`, which
+//! scans each entry queue once per run. Both must pick the same leaf;
+//! least-volume reads no aggregates, so it is reported from the
+//! aggregate run only.
 
 use bct_core::{ClassRounding, Instance, JobId, NodeId, SpeedProfile};
-use bct_policies::Sjf;
+use bct_policies::{LeastVolume, Sjf};
 use bct_sched::GreedyIdentical;
 use bct_sim::policy::Probe;
 use bct_sim::{AssignmentPolicy, SimConfig, SimView, Simulation};
@@ -53,6 +60,10 @@ struct ScoringTimer {
     elapsed: Duration,
     /// Time in `assign`.
     assign_elapsed: Duration,
+    /// Time in the per-leaf least-volume loops.
+    lv_elapsed: Duration,
+    /// Time in `LeastVolume::assign`.
+    lv_assign_elapsed: Duration,
     assignments: u64,
     sink: f64,
 }
@@ -85,15 +96,36 @@ impl Probe for ScoringTimer {
         }
         self.assign_elapsed += start.elapsed();
         assert_eq!(chosen, best_leaf, "assign and the per-leaf argmin disagree on {job}");
+
+        let queued = |v: NodeId| -> f64 { view.q(v).map(|i| view.remaining_at(i, v)).sum() };
+        let start = Instant::now();
+        for _ in 0..self.reps {
+            let mut best = f64::INFINITY;
+            for &v in leaves {
+                let s = queued(view.entry_node(job, v)) + queued(v) + view.eta_via(job, v);
+                if s < best {
+                    best = s;
+                    best_leaf = v;
+                }
+            }
+            black_box(best);
+        }
+        self.lv_elapsed += start.elapsed();
+        let start = Instant::now();
+        for _ in 0..self.reps {
+            chosen = black_box(LeastVolume.assign(view, job));
+        }
+        self.lv_assign_elapsed += start.elapsed();
+        assert_eq!(chosen, best_leaf, "least-volume and its per-leaf argmin disagree on {job}");
         self.assignments += self.reps;
     }
 }
 
-/// Run the driving simulation and return (per-leaf scoring time,
-/// `assign` time, assignments timed each way, checksum). `fast` keys the
-/// engine aggregates to match the scoring policy; otherwise they are
-/// deliberately mis-keyed so every query takes the scan fallback.
-fn measure(inst: &Instance, reps: u64, fast: bool) -> (Duration, Duration, u64, f64) {
+/// Run the driving simulation and return the probe, holding the timings
+/// and the checksum. `fast` keys the engine aggregates to match the
+/// scoring policy; otherwise they are deliberately mis-keyed so every
+/// query takes the scan fallback.
+fn measure(inst: &Instance, reps: u64, fast: bool) -> ScoringTimer {
     let mut cfg = SimConfig::with_speeds(SpeedProfile::unit());
     if !fast {
         cfg.dispatch_rounding = Some(ClassRounding::new(0.5));
@@ -104,6 +136,8 @@ fn measure(inst: &Instance, reps: u64, fast: bool) -> (Duration, Duration, u64, 
         reps,
         elapsed: Duration::ZERO,
         assign_elapsed: Duration::ZERO,
+        lv_elapsed: Duration::ZERO,
+        lv_assign_elapsed: Duration::ZERO,
         assignments: 0,
         sink: 0.0,
     };
@@ -113,7 +147,7 @@ fn measure(inst: &Instance, reps: u64, fast: bool) -> (Duration, Duration, u64, 
     };
     Simulation::run(inst, &Sjf::new(), &mut asg, &mut probe, &cfg).unwrap();
     assert!(probe.assignments > 0, "probe never sampled an arrival");
-    (probe.elapsed, probe.assign_elapsed, probe.assignments, probe.sink)
+    probe
 }
 
 fn dispatch_scoring(c: &mut Criterion) {
@@ -133,45 +167,47 @@ fn dispatch_scoring(c: &mut Criterion) {
     .expect("valid instance");
 
     let reps = 5;
-    let (fast_t, fast_assign_t, fast_n, fast_sink) = measure(&inst, reps, true);
-    let (slow_t, slow_assign_t, slow_n, slow_sink) = measure(&inst, reps, false);
-    assert_eq!(fast_n, slow_n);
+    let fast = measure(&inst, reps, true);
+    let slow = measure(&inst, reps, false);
+    assert_eq!(fast.assignments, slow.assignments);
     // Same scores up to summation order; a checksum divergence means the
     // two paths scored different queues.
     assert!(
-        (fast_sink - slow_sink).abs() <= 1e-6 * (1.0 + slow_sink.abs()),
-        "checksum diverged: {fast_sink} vs {slow_sink}"
+        (fast.sink - slow.sink).abs() <= 1e-6 * (1.0 + slow.sink.abs()),
+        "checksum diverged: {} vs {}",
+        fast.sink,
+        slow.sink
     );
 
     let mut g = c.benchmark_group("dispatch_scoring");
-    g.sample_size(fast_n as usize);
-    g.bench_function("greedy-assign/aggregate/1024-leaves-50k-jobs", |b| {
-        b.iter_custom(|_| fast_t)
-    });
-    g.bench_function("greedy-assign/naive/1024-leaves-50k-jobs", |b| {
-        b.iter_custom(|_| slow_t)
-    });
-    g.bench_function("greedy-assign/aggregate/assign/1024-leaves-50k-jobs", |b| {
-        b.iter_custom(|_| fast_assign_t)
-    });
-    g.bench_function("greedy-assign/naive/assign/1024-leaves-50k-jobs", |b| {
-        b.iter_custom(|_| slow_assign_t)
-    });
+    g.sample_size(fast.assignments as usize);
+    for (name, t) in [
+        ("greedy-assign/aggregate", fast.elapsed),
+        ("greedy-assign/naive", slow.elapsed),
+        ("greedy-assign/aggregate/assign", fast.assign_elapsed),
+        ("greedy-assign/naive/assign", slow.assign_elapsed),
+        ("least-volume/per-leaf", fast.lv_elapsed),
+        ("least-volume/assign", fast.lv_assign_elapsed),
+    ] {
+        g.bench_function(format!("{name}/1024-leaves-50k-jobs"), |b| b.iter_custom(|_| t));
+    }
     g.finish();
 
-    let per_call_us = |t: Duration| t.as_secs_f64() * 1e6 / fast_n as f64;
-    for (name, score_t, assign_t) in
-        [("aggregate", fast_t, fast_assign_t), ("naive", slow_t, slow_assign_t)]
-    {
+    let per_call_us = |t: Duration| t.as_secs_f64() * 1e6 / fast.assignments as f64;
+    for (name, loop_t, assign_t) in [
+        ("aggregate", fast.elapsed, fast.assign_elapsed),
+        ("naive", slow.elapsed, slow.assign_elapsed),
+        ("least-volume", fast.lv_elapsed, fast.lv_assign_elapsed),
+    ] {
         println!(
             "dispatch_scoring/{name}: per-leaf score loop {:.1} us, assign {:.1} us per assignment \
              ({:.1}x)",
-            per_call_us(score_t),
+            per_call_us(loop_t),
             per_call_us(assign_t),
-            score_t.as_secs_f64() / assign_t.as_secs_f64()
+            loop_t.as_secs_f64() / assign_t.as_secs_f64()
         );
     }
-    let speedup = slow_t.as_secs_f64() / fast_t.as_secs_f64();
+    let speedup = slow.elapsed.as_secs_f64() / fast.elapsed.as_secs_f64();
     println!("dispatch_scoring/speedup(naive/aggregate): {speedup:.1}x");
     assert!(
         speedup >= 5.0,

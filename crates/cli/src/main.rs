@@ -174,7 +174,13 @@ fn build_instance(opts: &Opts) -> Result<Instance, String> {
     let tree = spec::parse_topology(&opts.get("topo", "fat-tree:2,2,2"), seed)?;
     let n = opts.get_usize("jobs", 100)?;
     let sizes = spec::parse_sizes(&opts.get("sizes", "pow:2,4"))?;
-    let load = opts.get_f64("load", 0.8)?;
+    let load = load_flag(opts, 0.8)?;
+    // The §4 future-work extension: a fraction of jobs originates at
+    // random leaves instead of the root.
+    let origins = opts.get_f64("origins", 0.0)?;
+    if !(0.0..=1.0).contains(&origins) {
+        return Err(format!("--origins must be a fraction in [0, 1], got {origins}"));
+    }
     let unrelated = match opts.get("unrelated", "").as_str() {
         "" => None,
         s => Some(parse_unrelated(s)?),
@@ -182,15 +188,24 @@ fn build_instance(opts: &Opts) -> Result<Instance, String> {
     let mut w = WorkloadSpec::poisson_identical(n, load, sizes, &tree);
     w.unrelated = unrelated;
     let inst = w.instance(&tree, seed).map_err(|e| e.to_string())?;
-    // The §4 future-work extension: a fraction of jobs originates at
-    // random leaves instead of the root.
-    let origins = opts.get_f64("origins", 0.0)?;
     if origins > 0.0 {
         Ok(bct_workloads::jobs::with_random_leaf_origins(
             &inst, origins, seed,
         ))
     } else {
         Ok(inst)
+    }
+}
+
+/// The `--load` flag (offered load ρ), rejected unless positive and
+/// finite: a zero, negative or NaN load would generate release times
+/// the instance refuses, and an infinite one would run silently.
+fn load_flag(opts: &Opts, default: f64) -> Result<f64, String> {
+    let load = opts.get_f64("load", default)?;
+    if load > 0.0 && load.is_finite() {
+        Ok(load)
+    } else {
+        Err(format!("--load must be positive and finite, got {load}"))
     }
 }
 
@@ -663,7 +678,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         let bench = bct_serve::BenchConfig {
             serve: cfg,
             jobs: opts.get_usize("jobs", 10_000)?,
-            load: opts.get_f64("load", 0.7)?,
+            load: load_flag(opts, 0.7)?,
             sizes: opts.get("sizes", "pow:2,4"),
             seed: opts.get_usize("seed", 1)? as u64,
         };

@@ -206,6 +206,42 @@ fn sweep_rejects_non_positive_or_infinite_loads_with_exit_2() {
     }
 }
 
+/// An inline workload flag the generator cannot honour is a malformed
+/// flag value: the command fails with exit 1 (as `--jobs -3` does)
+/// before generating anything, naming the flag, instead of panicking,
+/// running silently without origins or with an infinite load, or
+/// blaming the generated instance.
+#[test]
+fn bad_inline_workload_flags_exit_1_naming_the_flag() {
+    let log = tmp("bad_flags.log");
+    let report = tmp("bad_flags.json");
+    let (log, report) = (log.to_str().unwrap(), report.to_str().unwrap());
+    let run = ["run", "--topo", "star:2,2", "--jobs", "5"];
+    let bench =
+        ["serve", "--bench", "--topo", "star:2,2", "--jobs", "5", "--log", log, "--out", report];
+    let cases: Vec<(&[&str], &str, &str)> = vec![
+        // (command, flag, bad value)
+        (&run, "--origins", "2"),
+        (&run, "--origins", "nan"),
+        (&run, "--origins", "-1"),
+        (&run, "--load", "0"),
+        (&run, "--load", "-1"),
+        (&run, "--load", "nan"),
+        (&run, "--load", "1e309"),
+        (&bench, "--load", "0"),
+        (&bench, "--load", "1e309"),
+    ];
+    for (command, flag, value) in cases {
+        let args: Vec<&str> = command.iter().copied().chain([flag, value]).collect();
+        let out = bct(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains(&format!("error: {flag} must be")), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: the command must not run");
+    }
+    assert!(!std::path::Path::new(report).exists(), "a rejected bench must not report");
+}
+
 /// Every subcommand declares its flags: an unknown one (a typo, or the
 /// removed `--no-batch`) fails with exit 2 before any work, naming it.
 #[test]

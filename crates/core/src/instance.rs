@@ -5,7 +5,7 @@ use crate::ids::{JobId, NodeId};
 use crate::job::{Job, LeafSizes};
 use crate::mutate::{AppliedMutations, TreeMutation};
 use crate::time::Time;
-use crate::tree::Tree;
+use crate::tree::{push_run_ends, LeafRuns, Tree};
 use serde::de::Error as _;
 use serde::{Deserialize, Deserializer, Serialize};
 
@@ -44,6 +44,11 @@ struct PathCache {
     /// simulator binary-searches instead of sorting a per-job index.
     /// Shares `spans` with `arena`.
     hops_arena: Vec<(NodeId, u32)>,
+    /// Each row's leaf runs, keyed on (entry node, path length) like
+    /// [`Tree::leaf_runs`]: row `r`'s exclusive run ends into the tree's
+    /// leaves are `run_ends[run_offsets[r]..run_offsets[r + 1]]`.
+    run_offsets: Vec<u32>,
+    run_ends: Vec<u32>,
 }
 
 impl PathCache {
@@ -62,7 +67,9 @@ impl PathCache {
         }
         cache.spans.reserve(origins.len() * tree.num_leaves());
         cache.entries.reserve(origins.len() * tree.num_leaves());
+        cache.run_offsets.push(0);
         for &o in &origins {
+            let row_start = cache.entries.len();
             for &l in tree.leaves() {
                 let path = tree.path_between(o, l);
                 cache.entries.push(path[0]);
@@ -76,6 +83,12 @@ impl PathCache {
                 cache.hops_arena[start..].sort_unstable_by_key(|&(v, _)| v);
                 cache.arena.extend_from_slice(&path);
             }
+            let keys = cache.entries[row_start..]
+                .iter()
+                .zip(&cache.spans[row_start..])
+                .map(|(&entry, &(_, len))| (entry, len));
+            push_run_ends(&mut cache.run_ends, keys);
+            cache.run_offsets.push(cache.run_ends.len() as u32);
         }
         cache
     }
@@ -359,6 +372,23 @@ impl Instance {
         match self.jobs[j.as_usize()].origin {
             None => self.tree.r_node(leaf),
             Some(o) => self.paths.entries[self.cache_cell(o, leaf)],
+        }
+    }
+
+    /// The leaves in runs for job `j`: maximal stretches of consecutive
+    /// leaves that share the job's entry node and path length. These are
+    /// the tree's [`Tree::leaf_runs`] for a root-origin job and the
+    /// origin row's own runs otherwise, so a rule that scores a run once
+    /// serves both kinds of job with one loop.
+    #[inline]
+    pub fn leaf_runs(&self, j: JobId) -> LeafRuns<'_> {
+        match self.jobs[j.as_usize()].origin {
+            None => self.tree.leaf_runs(),
+            Some(o) => {
+                let row = self.paths.row_of[o.as_usize()] as usize;
+                let (a, b) = (self.paths.run_offsets[row], self.paths.run_offsets[row + 1]);
+                LeafRuns::new(self.tree.leaves(), &self.paths.run_ends[a as usize..b as usize])
+            }
         }
     }
 

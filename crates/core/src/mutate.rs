@@ -21,7 +21,10 @@
 //!   `leaf_hops` slices — are never recomputed or moved. Depths and
 //!   `R(v)` of live nodes never change (adds only append below
 //!   existing routers; removals only tombstone), so an appended span is
-//!   exactly what a from-scratch build would produce.
+//!   exactly what a from-scratch build would produce. The leaf runs
+//!   ([`Tree::leaf_runs`]) are recomputed from the leaf list whenever a
+//!   leaf enters or leaves it, in the same `O(|L|)` pass as the dense
+//!   leaf indices.
 //! * **Differential oracle.** [`Tree::rebuilt`] reconstructs the same
 //!   semantic tree through the full [`Tree::from_parts`] build; tests
 //!   assert the incremental tables are bit-identical per live leaf.
@@ -380,6 +383,7 @@ impl Tree {
             let v = self.leaves[i];
             self.leaf_index[v.as_usize()] = Some(i as u32);
         }
+        self.refresh_leaf_runs();
     }
 
     /// Drop `l` from the leaf set; its arena spans become dead holes.
@@ -392,6 +396,7 @@ impl Tree {
             let v = self.leaves[i];
             self.leaf_index[v.as_usize()] = Some(i as u32);
         }
+        self.refresh_leaf_runs();
     }
 }
 
@@ -426,6 +431,11 @@ mod tests {
             assert_eq!(t.leaf_hops(l), fresh.leaf_hops(l), "hops of {l}");
             assert_eq!(t.leaf_index(l), fresh.leaf_index(l), "index of {l}");
         }
+        assert_eq!(
+            t.leaf_runs().collect::<Vec<_>>(),
+            fresh.leaf_runs().collect::<Vec<_>>(),
+            "leaf runs must agree"
+        );
         for v in t.nodes().filter(|&v| t.is_alive(v)) {
             assert_eq!(t.depth(v), fresh.depth(v), "depth of {v}");
             assert_eq!(t.r_node(v), fresh.r_node(v), "R({v})");

@@ -240,6 +240,11 @@ proptest! {
                 prop_assert_eq!(t.leaf_hops(l), fresh.leaf_hops(l), "hops of {}", l);
                 prop_assert_eq!(t.leaf_index(l), fresh.leaf_index(l), "index of {}", l);
             }
+            prop_assert_eq!(
+                t.leaf_runs().collect::<Vec<_>>(),
+                fresh.leaf_runs().collect::<Vec<_>>(),
+                "leaf runs"
+            );
             for v in t.nodes().filter(|&v| t.is_alive(v)) {
                 prop_assert_eq!(t.depth(v), fresh.depth(v));
                 prop_assert_eq!(t.r_node(v), fresh.r_node(v));

@@ -112,13 +112,22 @@ impl AssignmentPolicy for RoundRobin {
 /// a locally load-aware greedy that still ignores the interior of the
 /// tree and the SJF priority structure.
 ///
-/// One dispatch scores each leaf once, in one pass: a scan of the
-/// leaf's queue plus its path. The entry-node volume is memoised for the
-/// current run of leaves sharing an entry node, so each entry queue is
-/// scanned once per run: once per entry node on trees that number each
-/// root-adjacent subtree contiguously, as the fat-tree, k-ary, star and
-/// broomstick builders do. Ties go to the smaller `NodeId`; a NaN score
-/// panics.
+/// One dispatch walks the leaves as [`SimView::leaf_runs`] — maximal
+/// stretches of consecutive leaves sharing an entry node and a path
+/// length — and scans each entry queue once per run, reusing the volume
+/// while consecutive runs share an entry node. A leaf's score is that
+/// volume plus a scan of the leaf's own queue plus `η_{j,v}`:
+///
+/// * For an identical-endpoints job `η` is the same for every leaf of a
+///   run (the same size summed over the same number of hops), so it is
+///   computed once per run, and the scan of a run stops after its first
+///   leaf with an empty queue: queued volume is ≥ 0 and float addition
+///   is monotone, so every later leaf of the run scores at least as
+///   much and loses the `NodeId` tie-break.
+/// * For an unrelated job `η` differs per leaf, so every leaf of the run
+///   is scored.
+///
+/// Ties go to the smaller `NodeId`; a NaN score panics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LeastVolume;
 
@@ -129,10 +138,11 @@ impl AssignmentPolicy for LeastVolume {
 
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         let queued = |v: NodeId| -> f64 { view.q(v).map(|i| view.remaining_at(i, v)).sum() };
+        let identical = !view.instance().job(job).is_unrelated();
         let mut memo: Option<(NodeId, f64)> = None;
         let mut best: Option<(f64, NodeId)> = None;
-        for &v in view.tree().leaves() {
-            let entry = view.entry_node(job, v);
+        for run in view.leaf_runs(job) {
+            let entry = view.entry_node(job, run[0]);
             let vol_entry = match memo {
                 Some((m, vol)) if m == entry => vol,
                 _ => {
@@ -141,16 +151,23 @@ impl AssignmentPolicy for LeastVolume {
                     vol
                 }
             };
-            let score = vol_entry + queued(v) + view.eta_via(job, v);
-            let better = best.is_none_or(|(best_score, best_leaf)| {
-                score
-                    .partial_cmp(&best_score)
-                    .expect("least-volume: NaN assignment score")
-                    .then(v.cmp(&best_leaf))
-                    .is_lt()
-            });
-            if better {
-                best = Some((score, v));
+            let run_eta = identical.then(|| view.eta_via(job, run[0]));
+            for &v in run {
+                let eta = run_eta.unwrap_or_else(|| view.eta_via(job, v));
+                let score = vol_entry + queued(v) + eta;
+                let better = best.is_none_or(|(best_score, best_leaf)| {
+                    score
+                        .partial_cmp(&best_score)
+                        .expect("least-volume: NaN assignment score")
+                        .then(v.cmp(&best_leaf))
+                        .is_lt()
+                });
+                if better {
+                    best = Some((score, v));
+                }
+                if identical && view.q_len(v) == 0 {
+                    break;
+                }
             }
         }
         best.expect("tree has leaves").1

@@ -21,9 +21,10 @@
 //! |Q_v|)` against an engine maintaining matching queue aggregates
 //! (`SimConfig::dispatch_rounding` equal to the `rounding` passed
 //! here), `O(|Q_v|)` scans otherwise. `F(j,v)` depends on the leaf only
-//! through its entry node, so a dispatch that scores every leaf needs it
-//! once per entry node ([`f_term_at_entry`]); `F'` and the distance term
-//! are per leaf.
+//! through its entry node, so a dispatch needs it once per run of
+//! leaves sharing an entry node (`SimView::leaf_runs`,
+//! [`f_term_at_entry`]); the distance term depends on the leaf only
+//! through its path length, and `F'` is per leaf.
 
 use bct_core::{ClassRounding, JobId, NodeId, Time};
 use bct_policies::prio;

@@ -11,14 +11,18 @@
 //! empirical heuristic — on arbitrary trees.
 //!
 //! Both scores depend on the leaf's queues only through `F(j,v)`, which
-//! is evaluated at the entry node `R(v)`, plus per-leaf terms. One
-//! dispatch therefore computes `F` once per run of leaves sharing an
-//! entry node — once per entry node on trees that number each
-//! root-adjacent subtree contiguously, as the fat-tree, k-ary, star and
-//! broomstick builders do — and the per-leaf terms once per leaf:
-//! `O(|R|·log max|Q| + |L|)` for the identical rule, plus one
-//! `O(log |Q_v|)` `F'` per leaf for the unrelated rule. The `log` costs hold when the engine maintains queue
-//! aggregates keyed like this rule — configure the run with
+//! is evaluated at the entry node `R(v)`, plus per-leaf terms. A
+//! dispatch walks the leaves as [`SimView::leaf_runs`] — maximal
+//! stretches of consecutive leaves sharing an entry node and a path
+//! length — and computes `F` once per run, reusing it while consecutive
+//! runs share an entry node. The identical rule's score depends on the
+//! leaf only through `R(v)` and `d_v`, so it scores one leaf per run:
+//! `O(runs·log max|Q|)`, which is `O(|R|·log max|Q|)` on trees whose
+//! entry subtrees are numbered contiguously with equal-depth leaves
+//! (the fat-tree, k-ary and star builders). The unrelated rule adds
+//! `F'` and the distance term for every leaf of a run, one `O(log
+//! |Q_v|)` `F'` per leaf. The `log` costs hold when the engine maintains
+//! queue aggregates keyed like this rule — configure the run with
 //! `SimConfig::dispatch_rounding` equal to [`GreedyIdentical::rounding`]
 //! / [`GreedyUnrelated::rounding`]. On a mismatch the queries silently
 //! degrade to `O(|Q|)` scans (same answers, just slower).
@@ -27,23 +31,25 @@ use crate::cost::{distance_term, f_prime_term, f_term, f_term_at_entry};
 use bct_core::{ClassRounding, JobId, NodeId, Time};
 use bct_sim::{AssignmentPolicy, SimView};
 
-/// First-strict-minimum argmin over the live leaves of
-/// `score(F(j,R(v)), v)`. The entry-node term is memoised for the
-/// current run of leaves sharing an entry node; a leaf entering through
-/// a different node than the previous one recomputes it, so the choice
-/// does not depend on how the leaves are numbered.
+/// First-strict-minimum argmin over the live leaves, in id order, of
+/// `score(F(j,R(v)), v)`, walked run by run ([`SimView::leaf_runs`]).
+/// `F` is computed once per run and kept while consecutive runs share
+/// an entry node. With `every_leaf` false only the first leaf of each
+/// run is scored: for a score that depends on the leaf only through its
+/// entry node and path length, every leaf of a run scores bit-identically
+/// and the first is the one a first-strict-minimum scan keeps.
 fn argmin_leaf(
     view: &SimView<'_>,
     rounding: Option<&ClassRounding>,
     j: JobId,
+    every_leaf: bool,
     mut score: impl FnMut(Time, NodeId) -> Time,
 ) -> NodeId {
-    let leaves = view.tree().leaves();
-    let mut best = leaves[0];
+    let mut best = view.tree().leaves()[0];
     let mut best_score = f64::INFINITY;
     let mut memo: Option<(NodeId, Time)> = None;
-    for &v in leaves {
-        let r = view.entry_node(j, v);
+    for run in view.leaf_runs(j) {
+        let r = view.entry_node(j, run[0]);
         let f = match memo {
             Some((m, f)) if m == r => f,
             _ => {
@@ -52,17 +58,24 @@ fn argmin_leaf(
                 f
             }
         };
-        let s = score(f, v);
-        debug_assert!(s.is_finite(), "non-finite assignment score");
-        if s < best_score {
-            best_score = s;
-            best = v;
+        let scored = if every_leaf { run } else { &run[..1] };
+        for &v in scored {
+            let s = score(f, v);
+            debug_assert!(s.is_finite(), "non-finite assignment score");
+            if s < best_score {
+                best_score = s;
+                best = v;
+            }
         }
     }
     best
 }
 
 /// Greedy rule for **identical endpoints** (Theorem 5's algorithm).
+///
+/// [`AssignmentPolicy::assign`] scores only the first leaf of each run
+/// of [`SimView::leaf_runs`]: the leaves of a run share an entry node
+/// and a path length, so their scores are bit-identical.
 #[derive(Clone, Copy, Debug)]
 pub struct GreedyIdentical {
     epsilon: f64,
@@ -130,11 +143,17 @@ impl AssignmentPolicy for GreedyIdentical {
 
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         let me = *self;
-        argmin_leaf(view, me.rounding.as_ref(), job, |f, v| me.score_given_f(view, job, v, f))
+        argmin_leaf(view, me.rounding.as_ref(), job, false, |f, v| {
+            me.score_given_f(view, job, v, f)
+        })
     }
 }
 
 /// Greedy rule for **unrelated endpoints** (Theorem 6's algorithm).
+///
+/// [`AssignmentPolicy::assign`] computes `F` once per run of
+/// [`SimView::leaf_runs`] and `F'` plus the distance term for every leaf
+/// of the run, since `F'` reads the leaf's own queue and sizes.
 #[derive(Clone, Copy, Debug)]
 pub struct GreedyUnrelated {
     epsilon: f64,
@@ -186,7 +205,9 @@ impl AssignmentPolicy for GreedyUnrelated {
 
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         let me = *self;
-        argmin_leaf(view, me.rounding.as_ref(), job, |f, v| me.score_given_f(view, job, v, f))
+        argmin_leaf(view, me.rounding.as_ref(), job, true, |f, v| {
+            me.score_given_f(view, job, v, f)
+        })
     }
 }
 

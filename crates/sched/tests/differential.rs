@@ -9,9 +9,13 @@
 //! summation orders may differ in the last bits.
 //!
 //! Every suite also checks the dispatching rules themselves: the greedy
-//! rules and least-volume compute their entry-node term once per run of
-//! leaves sharing an entry node, and must pick exactly the leaf a
-//! one-leaf-at-a-time argmin over the same score picks.
+//! rules and least-volume walk the leaves in runs sharing an entry node
+//! and a path length (`SimView::leaf_runs`), score a run once where
+//! their score allows it, and must pick exactly the leaf a
+//! one-leaf-at-a-time argmin over the same score picks. Beyond the
+//! random trees, whose runs are mostly a single leaf, the suites cover
+//! generator topologies with long runs and mixed-depth entry subtrees,
+//! and jobs with leaf origins.
 
 use bct_core::tree::TreeBuilder;
 use bct_core::{ClassRounding, Instance, Job, JobId, NodeId, SpeedProfile, Tree};
@@ -21,6 +25,8 @@ use bct_sched::cost::{distance_term, f_prime_term, f_term};
 use bct_sched::{GreedyIdentical, GreedyUnrelated};
 use bct_sim::policy::Probe;
 use bct_sim::{AssignmentPolicy, SimConfig, SimView, Simulation};
+use bct_workloads::jobs::with_random_leaf_origins;
+use bct_workloads::topo;
 use proptest::prelude::*;
 use rand::Rng;
 use rand::SeedableRng;
@@ -53,8 +59,42 @@ fn random_tree(rng: &mut ChaCha8Rng) -> Tree {
 fn random_instance(seed: u64, unrelated: bool, dyadic: bool) -> Instance {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let t = random_tree(&mut rng);
-    let n_leaves = t.num_leaves();
     let n = rng.gen_range(8..=30);
+    random_jobs_on(t, &mut rng, n, unrelated, dyadic)
+}
+
+/// A generator topology. The fat tree and the k-ary tree number each
+/// entry subtree contiguously with equal-depth leaves, so each entry
+/// node is one long run of leaves; the caterpillar and the broomstick
+/// hang leaves at several depths below one entry node, so an entry
+/// node spans several runs.
+fn generator_tree(shape: u8) -> Tree {
+    match shape {
+        0 => topo::fat_tree(3, 2, 3),
+        1 => topo::kary(3, 2),
+        2 => topo::caterpillar(3, 3),
+        _ => topo::broomstick(2, 3, 2),
+    }
+}
+
+/// Dyadic instance on [`generator_tree`], with enough jobs that entry
+/// and leaf queues fill (every queued job counts in its leaf's queue
+/// while it waits upstream).
+fn generator_instance(seed: u64, shape: u8, unrelated: bool) -> Instance {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let n = rng.gen_range(30..=60);
+    random_jobs_on(generator_tree(shape), &mut rng, n, unrelated, true)
+}
+
+/// `n` random jobs on `t`, drawn from `rng`.
+fn random_jobs_on(
+    t: Tree,
+    rng: &mut ChaCha8Rng,
+    n: usize,
+    unrelated: bool,
+    dyadic: bool,
+) -> Instance {
+    let n_leaves = t.num_leaves();
     let mut release = 0.0;
     let size = |rng: &mut ChaCha8Rng| -> f64 {
         if dyadic {
@@ -70,9 +110,9 @@ fn random_instance(seed: u64, unrelated: bool, dyadic: bool) -> Instance {
             } else {
                 rng.gen_range(0.0..2.0)
             };
-            let s = size(&mut rng);
+            let s = size(rng);
             if unrelated {
-                let sizes: Vec<f64> = (0..n_leaves).map(|_| size(&mut rng)).collect();
+                let sizes: Vec<f64> = (0..n_leaves).map(|_| size(rng)).collect();
                 Job::unrelated(i as u32, release, s, sizes)
             } else {
                 Job::identical(i as u32, release, s)
@@ -292,6 +332,46 @@ proptest! {
         let r = classes.then(|| ClassRounding::new(0.5));
         let checks = run_diff(&inst, r.clone(), r, false);
         prop_assert!(checks > 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Generator topologies, where leaf runs are long (fat tree, k-ary)
+    /// or one entry node spans runs of several depths (caterpillar,
+    /// broomstick), under enough load that leaf queues fill: the rules
+    /// that score per run must pick exactly the per-leaf argmin.
+    #[test]
+    fn exact_agreement_on_generator_topologies(
+        seed in 0u64..5000,
+        shape in 0u8..4,
+        unrelated in any::<bool>(),
+        classes in any::<bool>(),
+    ) {
+        let inst = generator_instance(seed, shape, unrelated);
+        let r = classes.then(|| ClassRounding::new(1.0));
+        let checks = run_diff(&inst, r.clone(), r, true);
+        prop_assert!(checks > 0, "probe never fired");
+    }
+
+    /// Jobs that originate at leaves: their paths, entry nodes and leaf
+    /// runs come from the instance's per-origin rows, not the tree's.
+    #[test]
+    fn exact_agreement_with_origin_jobs(
+        seed in 0u64..5000,
+        shape in 0u8..5,
+        unrelated in any::<bool>(),
+        classes in any::<bool>(),
+    ) {
+        let base = match shape {
+            4 => random_instance(seed, unrelated, true),
+            _ => generator_instance(seed, shape, unrelated),
+        };
+        let inst = with_random_leaf_origins(&base, 0.5, seed);
+        let r = classes.then(|| ClassRounding::new(1.0));
+        let checks = run_diff(&inst, r.clone(), r, true);
+        prop_assert!(checks > 0, "probe never fired");
     }
 }
 

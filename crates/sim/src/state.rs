@@ -31,6 +31,7 @@ use crate::policy::{KeyCtx, NodePolicy, PolicyKey};
 use crate::scratch::SimScratch;
 use bct_core::instance::Setting;
 use bct_core::time::{approx_le, snap_nonneg};
+use bct_core::tree::LeafRuns;
 use bct_core::{ClassRounding, Instance, Job, JobId, NodeId, Time, Tree};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -1064,6 +1065,21 @@ impl<'s> SimView<'s> {
         match &self.state.topo {
             Some(t) => t.r_node(leaf),
             None => self.state.instance.entry_node(j, leaf),
+        }
+    }
+
+    /// The current epoch's leaves in runs for job `j`: maximal stretches
+    /// of consecutive leaves, in id order, that share `j`'s entry node
+    /// and path length, so every leaf of a run has the same
+    /// [`SimView::entry_node`] and the same [`SimView::path_for`] length.
+    /// The tree's [`Tree::leaf_runs`] for root-origin jobs and on dynamic
+    /// runs (which reject origins); the origin row's runs
+    /// ([`Instance::leaf_runs`]) otherwise.
+    #[inline]
+    pub fn leaf_runs(&self, j: JobId) -> LeafRuns<'s> {
+        match &self.state.topo {
+            Some(t) => t.leaf_runs(),
+            None => self.state.instance.leaf_runs(j),
         }
     }
 
