@@ -19,6 +19,15 @@ cargo test -q --release -p bct-sim --test differential_queue
 # subtrees, and jobs with leaf origins) picking exactly the leaf of a
 # one-leaf-at-a-time argmin over the same scores.
 cargo test -q --release -p bct-sched --test differential
+# Pooled-SRPT differential suite: the heap-based `srpt_single_machine`
+# bit-identical to the per-step full scan it replaced (kept in the test
+# as the oracle), on random jobs with tied releases and sizes and on
+# generated fat-tree and k-ary instances through `pooled_srpt_bound`.
+cargo test -q --release -p bct-lp --test srpt_differential
+# The bound's scaling at 10k and 50k jobs on `fat-tree:16,8,8`: the
+# bench asserts t(50k)/t(10k) < 12 (about 5.5 for the heap, over 20
+# for the scan), a ratio measured in one run, so no absolute floor.
+cargo bench -q -p bct-bench --bench bounds
 # The same exactness at scale: 1024 leaves in 16 runs, entry queues in
 # the hundreds. The dispatch bench asserts greedy-identical and
 # least-volume `assign` pick the leaf of their per-leaf loops at every
