@@ -7,10 +7,13 @@ cd "$(dirname "$0")"
 cargo build --release
 cargo test -q --workspace
 
-# Differential event-queue/aggregate suite, run explicitly (it is part
-# of the workspace suite above, but this PR-5 contract — calendar queue
-# and flat aggregates bit-identical to the heap/treap oracle — must
-# fail loudly on its own line).
+# Pinned-digest suite for the hard-wired calendar queue and flat
+# aggregates, run explicitly (it is part of the workspace suite above,
+# but it must fail loudly on its own line): 96 random runs whose
+# serialized outcomes must hash to the digests recorded when the heap
+# and treap oracles still ran beside them, plus the paper's flow,
+# busy-time and work-conservation bounds on every run. The oracles
+# themselves are unit-tested against the structures in evq.rs/agg.rs.
 cargo test -q --release -p bct-sim --test differential_queue
 # Dispatch-scoring differential suite: aggregate queries bit-identical
 # to the scan oracle, and the greedy/least-volume rules (scoring once
@@ -68,51 +71,27 @@ fi
 cargo clippy --all-targets -- -D warnings \
     --force-warn clippy::float-cmp --force-warn clippy::unwrap-used
 
-# Golden sweeps: 2-worker runs must reproduce the checked-in JSONL byte
-# for byte (the harness's determinism contract, end to end through the
-# CLI). The heavy-tail grid exercises the aggregate fast path (greedy
-# dispatch with raw sizes) under Pareto sizes at rho up to 2.
+# Golden sweeps: every checked-in golden must be reproduced byte for
+# byte at 1, 4 and 8 workers (the harness's determinism contract, end
+# to end through the CLI). The grids cover:
+# * base — static topologies and the paper's policies;
+# * heavytail — the aggregate fast path (greedy dispatch with raw
+#   sizes) under Pareto sizes at rho up to 2;
+# * dynamic — leaf churn plus the capacity-aware stateful policies
+#   (the drain/redispatch path and the per-cell churn schedules must
+#   not leak any ordering nondeterminism into the rows);
+# * batch — eight replications per grid point, on a fixed and a
+#   seeded (`random:`) topology.
 golden_out=$(mktemp)
 run_dir=$(mktemp -d)
 trap 'rm -f "$golden_out"; rm -rf "$run_dir"' EXIT
-cargo run -q --release -p bct-cli -- sweep \
-    --spec specs/golden_sweep.json --workers 2 --out "$golden_out" --quiet >/dev/null
-diff specs/golden_sweep.expected.jsonl "$golden_out"
-cargo run -q --release -p bct-cli -- sweep \
-    --spec specs/golden_sweep_heavytail.json --workers 2 --out "$golden_out" --quiet >/dev/null
-diff specs/golden_sweep_heavytail.expected.jsonl "$golden_out"
-
-# Dynamic golden sweep: leaf churn plus the capacity-aware stateful
-# policies, byte-identical at every worker count (the drain/redispatch
-# path and the per-cell churn schedules must not leak any ordering
-# nondeterminism into the rows).
-for w in 1 4 8; do
-    cargo run -q --release -p bct-cli -- sweep \
-        --spec specs/golden_sweep_dynamic.json --workers "$w" --out "$golden_out" --quiet >/dev/null
-    diff specs/golden_sweep_dynamic.expected.jsonl "$golden_out"
+for g in golden_sweep golden_sweep_heavytail golden_sweep_dynamic golden_sweep_batch; do
+    for w in 1 4 8; do
+        cargo run -q --release -p bct-cli -- sweep \
+            --spec "specs/$g.json" --workers "$w" --out "$golden_out" --quiet >/dev/null
+        diff "specs/$g.expected.jsonl" "$golden_out"
+    done
 done
-
-# Replicated golden sweep: eight replications per grid point, on a
-# fixed and a seeded (`random:`) topology, byte-identical at every
-# worker count.
-for w in 1 4 8; do
-    cargo run -q --release -p bct-cli -- sweep \
-        --spec specs/golden_sweep_batch.json --workers "$w" --out "$golden_out" --quiet >/dev/null
-    diff specs/golden_sweep_batch.expected.jsonl "$golden_out"
-done
-
-# Sharded sweep merge: the same golden grid split 0/2 + 1/2 by cell
-# index, concatenated and re-sorted by cell, must be byte-identical to
-# the one-shot expected file — the partition-anywhere contract the
-# distributed runner builds on.
-shard_a=$(mktemp) && shard_b=$(mktemp)
-cargo run -q --release -p bct-cli -- sweep \
-    --spec specs/golden_sweep.json --workers 2 --shard 0/2 --out "$shard_a" --quiet >/dev/null
-cargo run -q --release -p bct-cli -- sweep \
-    --spec specs/golden_sweep.json --workers 2 --shard 1/2 --out "$shard_b" --quiet >/dev/null
-cat "$shard_a" "$shard_b" | sort -t: -k2 -n > "$golden_out"
-diff specs/golden_sweep.expected.jsonl "$golden_out"
-rm -f "$shard_a" "$shard_b"
 
 # Kill/resume differential gate: arm the crash hook so the worker
 # aborts after k completed cells — leaving a torn partial record at the
@@ -205,8 +184,3 @@ print(f"sim bench: {rate} jobs/s with scratch (floor {floor:.0f}, PR-{base['reco
 if rate < floor:
     raise SystemExit(f"sim throughput regressed >10% vs the recorded PR-{base['recorded_pr']} baseline: {rate} < {floor:.0f}")
 EOF
-
-# Event-queue microbenchmark: calendar/radix queue vs the binary-heap
-# oracle on the hold model; asserts identical pop order while timing
-# and emits target/BENCH_event_queue.json.
-cargo bench -q -p bct-bench --bench event_queue

@@ -91,7 +91,7 @@ const INSTANCE_FLAGS: &[&str] =
 
 /// Flags of `sweep --spec`, in every mode (plain, run dir, `--procs`).
 const SPEC_SWEEP_FLAGS: &[&str] = &[
-    "spec", "workers", "out", "summary-out", "quiet", "shard", "run-dir", "procs", "chunk-size",
+    "spec", "workers", "out", "summary-out", "quiet", "run-dir", "procs", "chunk-size",
     "claim-timeout-ms", "claim-poll-ms",
 ];
 
@@ -128,8 +128,8 @@ fn usage() -> String {
      run          simulate one policy on one workload; print flow statistics\n  \
      sweep        with --spec FILE: parallel sweep over a declarative grid\n               \
      (topologies × workloads × policies × speeds × replications) with\n               \
-     [--workers N] [--out rows.jsonl] [--summary-out FILE] [--quiet]\n               \
-     [--shard i/N]; exits 2 on a spec it rejects, 3 if cells failed.\n               \
+     [--workers N] [--out rows.jsonl] [--summary-out FILE] [--quiet];\n               \
+     exits 2 on a spec it rejects, 3 if cells failed.\n               \
      [--run-dir DIR]: durable resumable run — checksummed rows land in\n               \
      DIR as they finish; re-invoking the same spec resumes (skips\n               \
      checksum-valid cells, hard error on spec mismatch), and N\n               \
@@ -342,18 +342,6 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
 /// which is byte-identical at any `--workers` count. Failed cells never
 /// abort the sweep — they become `Failed` rows with reproducer seeds,
 /// and the process exits with code 3.
-/// Parse `--shard i/N` (e.g. `0/4`): run only cells with `cell % N == i`.
-fn parse_shard(s: &str) -> Result<(usize, usize), String> {
-    let err = || format!("--shard expects i/N with 0 <= i < N, got '{s}'");
-    let (i, n) = s.split_once('/').ok_or_else(err)?;
-    let i: usize = i.parse().map_err(|_| err())?;
-    let n: usize = n.parse().map_err(|_| err())?;
-    if n == 0 || i >= n {
-        return Err(err());
-    }
-    Ok((i, n))
-}
-
 fn cmd_sweep_spec(opts: &Opts, path: &str) -> Result<(), String> {
     let sweep_spec = match bct_harness::SweepSpec::load(std::path::Path::new(path)) {
         Ok(spec) => spec,
@@ -361,10 +349,6 @@ fn cmd_sweep_spec(opts: &Opts, path: &str) -> Result<(), String> {
             eprintln!("error: {e}");
             std::process::exit(EXIT_BAD_SPEC);
         }
-    };
-    let shard = match opts.try_get("shard") {
-        None => None,
-        Some(s) => Some(parse_shard(&s)?),
     };
     let procs = opts.get_usize("procs", 0)?;
     if procs > 0 || opts.try_get("run-dir").is_some() {
@@ -374,13 +358,6 @@ fn cmd_sweep_spec(opts: &Opts, path: &str) -> Result<(), String> {
                     .into(),
             );
         };
-        if shard.is_some() {
-            return Err(
-                "--shard cannot be combined with --run-dir: the claim protocol already \
-                 partitions cells dynamically"
-                    .into(),
-            );
-        }
         if procs > 0 {
             return cmd_sweep_procs(opts, path, &sweep_spec, &dir, procs);
         }
@@ -395,7 +372,6 @@ fn cmd_sweep_spec(opts: &Opts, path: &str) -> Result<(), String> {
         } else {
             bct_harness::sweep::ProgressMode::Stderr
         },
-        shard,
     };
     let out_path = opts.get("out", "sweep.jsonl");
     let file = std::fs::File::create(&out_path)
@@ -456,7 +432,6 @@ fn cmd_sweep_rundir(
         } else {
             bct_harness::sweep::ProgressMode::Stderr
         },
-        shard: None,
     };
     let rd_opts = rundir_options(opts)?;
     let prev_hook = std::panic::take_hook();

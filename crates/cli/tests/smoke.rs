@@ -243,7 +243,8 @@ fn bad_inline_workload_flags_exit_1_naming_the_flag() {
 }
 
 /// Every subcommand declares its flags: an unknown one (a typo, or the
-/// removed `--no-batch`) fails with exit 2 before any work, naming it.
+/// removed `--no-batch` and `--shard`) fails with exit 2 before any
+/// work, naming it.
 #[test]
 fn unknown_flags_exit_2_before_any_work() {
     let spec = write_spec("unknown_flags.json", TINY_SPEC);
@@ -264,6 +265,13 @@ fn unknown_flags_exit_2_before_any_work() {
             "--worker",
         ),
         (bct(&["run", "--topo", "star:2,2", "--jobs", "5", "--polcy", "sjf+closest"]), "--polcy"),
+        (
+            bct(&[
+                "sweep", "--spec", spec.to_str().unwrap(), "--out", out_path.to_str().unwrap(),
+                "--shard", "0/2",
+            ]),
+            "--shard",
+        ),
     ] {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flag}: stderr: {stderr}");

@@ -1,4 +1,4 @@
-//! The shard-claim protocol: coordinator-free cooperation of N
+//! The chunk-claim protocol: coordinator-free cooperation of N
 //! processes on one run directory.
 //!
 //! Chunks of a sweep's cell grid are claimed through the filesystem:

@@ -21,7 +21,7 @@
 //!   files, torn-tail truncation, spec-hash-pinned manifests, and
 //!   [`rundir::run_sweep_dir`], the kill-anywhere/resume-anywhere
 //!   entry point.
-//! * [`claim`] — the coordinator-free shard-claim protocol (atomic
+//! * [`claim`] — the coordinator-free chunk-claim protocol (atomic
 //!   claim files, heartbeats, stale takeover) that lets N processes
 //!   cooperate on one run dir.
 //!

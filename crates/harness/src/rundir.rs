@@ -515,13 +515,6 @@ pub fn run_sweep_dir(
     rd_opts: &RunDirOptions,
     root: &Path,
 ) -> Result<(SweepReport, String), String> {
-    if opts.shard.is_some() {
-        return Err(
-            "--shard cannot be combined with a run dir: the claim protocol already \
-             partitions cells dynamically"
-                .into(),
-        );
-    }
     // bct-lint: allow(d2) -- elapsed-time reporting only; never feeds a row or an aggregate
     let started = Instant::now();
     let dir = RunDir::open_or_create(root, spec, rd_opts.chunk_size)?;
@@ -761,14 +754,5 @@ mod tests {
         let (report2, jsonl2) = run_sweep_dir(&spec, &opts, &rd, &root).unwrap();
         assert_eq!(jsonl2, fresh);
         assert_eq!(report2.ok, 4);
-    }
-
-    #[test]
-    fn shard_and_run_dir_are_mutually_exclusive() {
-        let root = tmp_root("shardconflict");
-        let opts = SweepOptions { shard: Some((0, 2)), ..Default::default() };
-        let err =
-            run_sweep_dir(&tiny_spec(), &opts, &RunDirOptions::default(), &root).unwrap_err();
-        assert!(err.contains("claim protocol"), "{err}");
     }
 }

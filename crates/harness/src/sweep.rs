@@ -495,13 +495,6 @@ pub struct SweepOptions {
     pub workers: usize,
     /// Progress reporting.
     pub progress: ProgressMode,
-    /// Run only shard `i` of `n`: the cells with `cell % n == i`.
-    /// Because every cell's seed is a pure function of its global grid
-    /// index, any partition of the grid reproduces exactly the rows the
-    /// unsharded sweep would have produced for those cells — shard
-    /// outputs from separate processes concatenate and sort into the
-    /// byte-identical full JSONL.
-    pub shard: Option<(usize, usize)>,
 }
 
 impl Default for SweepOptions {
@@ -509,7 +502,6 @@ impl Default for SweepOptions {
         SweepOptions {
             workers: exec::available_workers(),
             progress: ProgressMode::Silent,
-            shard: None,
         }
     }
 }
@@ -607,15 +599,7 @@ pub fn run_sweep(
     sink: &mut dyn RowSink,
 ) -> Result<SweepReport, String> {
     spec.validate()?;
-    let mut tasks = expand(spec);
-    if let Some((i, n)) = opts.shard {
-        if n == 0 || i >= n {
-            return Err(format!("invalid shard {i}/{n}: need 0 <= i < n"));
-        }
-        // Filter *after* expansion so each retained task keeps its
-        // global cell index and index-derived seed.
-        tasks.retain(|t| t.cell % n == i);
-    }
+    let tasks = expand(spec);
     let total = tasks.len();
     // Progress cadence: ~20 updates per sweep, at least every 64 cells.
     let every = (total / 20).clamp(1, 64);
@@ -884,41 +868,6 @@ mod tests {
         let mut bad = dynamic_spec();
         bad.workloads[0].churn = Some(ChurnCfg { events: 0 });
         assert!(bad.validate().is_err(), "zero churn events must be rejected");
-    }
-
-    #[test]
-    fn sharded_sweeps_merge_into_the_unsharded_golden() {
-        let spec = tiny_spec();
-        let full = run_sweep(&spec, &SweepOptions::default(), &mut NullSink).unwrap();
-        let mut merged: Vec<SweepRow> = Vec::new();
-        for i in 0..2 {
-            let opts = SweepOptions {
-                shard: Some((i, 2)),
-                progress: ProgressMode::Silent,
-                ..Default::default()
-            };
-            let part = run_sweep(&spec, &opts, &mut NullSink).unwrap();
-            assert_eq!(part.rows.len(), 4, "shard {i}/2 of 8 cells");
-            for row in &part.rows {
-                assert_eq!(row.cell % 2, i, "shard {i}/2 kept a foreign cell");
-            }
-            merged.extend(part.rows.iter().cloned());
-        }
-        // Concatenate + sort by cell index reproduces the one-shot
-        // sweep byte for byte: cell seeds are index-derived, so a
-        // shard runs exactly the rows the full sweep would have.
-        merged.sort_by_key(|r| r.cell);
-        assert_eq!(sorted_jsonl(&merged), full.sorted_jsonl());
-    }
-
-    #[test]
-    fn shard_bounds_are_validated() {
-        let spec = tiny_spec();
-        for bad in [(0, 0), (2, 2), (5, 3)] {
-            let opts = SweepOptions { shard: Some(bad), ..Default::default() };
-            let err = run_sweep(&spec, &opts, &mut NullSink).unwrap_err();
-            assert!(err.contains("invalid shard"), "{err}");
-        }
     }
 
     #[test]

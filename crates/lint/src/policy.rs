@@ -21,7 +21,7 @@ pub struct Policy {
 }
 
 /// Crates whose outputs feed the byte-identical determinism contract
-/// (golden sweep, sorted JSONL, shard merges, serve journal replay).
+/// (golden sweep, sorted JSONL, run-dir merges, serve journal replay).
 const DETERMINISTIC_CRATES: &[&str] = &["core", "sim", "policies", "sched", "harness", "serve"];
 
 /// Crates allowed to read wall clocks (benchmarks; CLI progress/ETA).

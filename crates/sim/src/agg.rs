@@ -10,45 +10,24 @@
 //! * `S`-volume: sum of `rem` over keys strictly before the job's key;
 //! * larger-count / larger-fraction: the suffix at `eff > p_j`.
 //!
-//! Two layouts implement the same contract behind [`AggStore`]:
-//!
-//! * [`AggLayout::Flat`] (default) — per node, three parallel sorted
-//!   arrays plus fixed-width block summaries ([`BLOCK`] entries per
-//!   block). Inserts/removals are a binary search plus a memmove and a
-//!   suffix of block recomputations; point updates recompute one
-//!   block; queries sum whole-block summaries plus a partial block of
-//!   entries, always left-to-right. Block boundaries — and therefore
-//!   the float summation order — are a function of the *current*
-//!   contents only, never of operation history.
-//! * [`AggLayout::Treap`] — the original order-statistic treap (arena,
-//!   `u32` links, free list, deterministic xorshift priorities), kept
-//!   as the oracle the flat layout's property tests and the engine's
-//!   differential suite compare against.
+//! [`AggStore`] keeps, per node, three parallel sorted arrays plus
+//! fixed-width block summaries ([`BLOCK`] entries per block).
+//! Inserts/removals are a binary search plus a memmove and a suffix of
+//! block recomputations; point updates recompute one block; queries
+//! sum whole-block summaries plus a partial block of entries, always
+//! left to right. Block boundaries — and therefore the float summation
+//! order — are a function of the *current* contents only, never of
+//! operation history. The order-statistic treap it replaced survives
+//! only as the test oracle of this module's unit tests.
 //!
 //! Stored remainders are *as of the node's last materialization*; the
 //! one continuously-draining job per node (its `current`) is corrected
 //! at query time by [`crate::state::SimState`], which knows its live
-//! remainder. Both layouts are pooled in [`crate::SimScratch`], so
+//! remainder. The store is pooled in [`crate::SimScratch`], so
 //! per-node queues cost no allocations after warm-up.
 
 use bct_core::Time;
 use std::cmp::Ordering;
-
-/// Which per-node aggregate layout a run maintains (see the module
-/// docs). Query results may differ in final float bits between layouts
-/// on non-dyadic sizes (different summation order); on dyadic sizes
-/// they are bit-identical, which is what the differential suites pin.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AggLayout {
-    /// Flattened sorted-run layout with block summaries (default).
-    #[default]
-    Flat,
-    /// The randomized treap, kept as the differential oracle.
-    Treap,
-}
-
-/// Sentinel for "no child" / "empty tree".
-const NIL: u32 = u32::MAX;
 
 /// SJF priority key of a queued job at a node, ascending = served
 /// earlier: effective size (class index when rounding is configured,
@@ -110,11 +89,6 @@ impl AggSums {
         self.sum_frac += other.sum_frac;
     }
 
-    #[inline]
-    fn add_entry(&mut self, e: &Entry) {
-        self.add_raw(e.rem, e.p);
-    }
-
     /// Fold one `(rem, p)` entry into the sums.
     #[inline]
     fn add_raw(&mut self, rem: f64, p: f64) {
@@ -124,386 +98,13 @@ impl AggSums {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Entry {
-    key: QueueKey,
-    prio: u64,
-    left: u32,
-    right: u32,
-    /// Remaining work of this job at this node (stored value).
-    rem: f64,
-    /// Full requirement `p_{j,v}`, for the fractional remainder.
-    p: f64,
-    /// Subtree aggregates (including this entry).
-    sums: AggSums,
-}
-
-/// Seed of the deterministic priority stream; reset to this on every
-/// [`QueueAggregates::reset`] so reused scratch produces bit-identical
-/// treap shapes to a fresh simulation.
-const PRIO_SEED: u64 = 0x853C_49E6_748F_EA9B;
-
-/// One treap per tree node, all sharing an arena.
-#[derive(Debug, Default)]
-pub(crate) struct QueueAggregates {
-    entries: Vec<Entry>,
-    free: Vec<u32>,
-    roots: Vec<u32>,
-    rng: u64,
-    /// Scratch stacks for the iterative treap walks (descent path /
-    /// merge path); cleared per operation, capacity reused.
-    path: Vec<u32>,
-    path2: Vec<u32>,
-}
-
-impl QueueAggregates {
-    /// Fresh aggregates over `num_nodes` queues (test convenience;
-    /// production code resets a pooled instance).
-    #[cfg(test)]
-    pub fn new(num_nodes: usize) -> QueueAggregates {
-        let mut agg = QueueAggregates::default();
-        agg.reset(num_nodes);
-        agg
-    }
-
-    /// Clear all queues and re-seed the priority stream, keeping every
-    /// buffer's capacity. A reset aggregate is indistinguishable from a
-    /// freshly constructed one — including treap shapes, which depend on
-    /// the priority stream position.
-    pub fn reset(&mut self, num_nodes: usize) {
-        self.entries.clear();
-        self.free.clear();
-        self.roots.clear();
-        self.roots.resize(num_nodes, NIL);
-        self.rng = PRIO_SEED;
-    }
-
-    /// Extend to `num_nodes` queues without touching existing ones
-    /// (mid-run topology growth).
-    pub fn grow_nodes(&mut self, num_nodes: usize) {
-        if self.roots.len() < num_nodes {
-            self.roots.resize(num_nodes, NIL);
-        }
-    }
-
-    /// Pre-size the shared arena for `total` simultaneously-live
-    /// entries (one per job per hop), so steady-state inserts recycle
-    /// free-list slots or land in reserved capacity.
-    pub fn reserve(&mut self, total: usize) {
-        self.entries.reserve(total.saturating_sub(self.entries.len()));
-        self.free.reserve(total.saturating_sub(self.free.len()));
-        // Descent/merge stacks are bounded by treap depth; with
-        // xorshift priorities that is O(log n) with high probability —
-        // 64 frames covers any arena this side of 2^40 entries.
-        self.path.reserve(64);
-        self.path2.reserve(64);
-    }
-
-    // bct-lint: no_alloc
-    fn next_prio(&mut self) -> u64 {
-        // xorshift64: full-period, deterministic, plenty for treap shape.
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
-    }
-
-    fn alloc(&mut self, key: QueueKey, rem: f64, p: f64) -> u32 {
-        let prio = self.next_prio();
-        self.alloc_with_prio(key, rem, p, prio)
-    }
-
-    fn alloc_with_prio(&mut self, key: QueueKey, rem: f64, p: f64, prio: u64) -> u32 {
-        let entry = Entry {
-            key,
-            prio,
-            left: NIL,
-            right: NIL,
-            rem,
-            p,
-            sums: AggSums {
-                cnt: 1,
-                sum_rem: rem,
-                sum_frac: rem / p,
-            },
-        };
-        match self.free.pop() {
-            Some(i) => {
-                self.entries[i as usize] = entry;
-                i
-            }
-            None => {
-                self.entries.push(entry);
-                (self.entries.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Recompute `t`'s subtree sums from its children and own values.
-    /// Sums are rebuilt (not delta-adjusted), so float error never
-    /// accumulates across updates.
-    // bct-lint: no_alloc
-    fn pull(&mut self, t: u32) {
-        let (l, r) = (self.entries[t as usize].left, self.entries[t as usize].right);
-        let mut sums = AggSums {
-            cnt: 1,
-            sum_rem: self.entries[t as usize].rem,
-            sum_frac: self.entries[t as usize].rem / self.entries[t as usize].p,
-        };
-        for c in [l, r] {
-            if c != NIL {
-                let cs = self.entries[c as usize].sums;
-                sums.cnt += cs.cnt;
-                sums.sum_rem += cs.sum_rem;
-                sums.sum_frac += cs.sum_frac;
-            }
-        }
-        self.entries[t as usize].sums = sums;
-    }
-
-    /// Split into (keys < `key`, keys ≥ `key`). Iterative — treap depth
-    /// is unbounded in the worst case, so no walk here may recurse.
-    // bct-lint: no_alloc
-    fn split_lt(&mut self, t: u32, key: &QueueKey) -> (u32, u32) {
-        let (mut lroot, mut rroot) = (NIL, NIL);
-        // Nodes whose right (resp. left) child slot awaits the next
-        // piece of the left (resp. right) split.
-        let (mut lhook, mut rhook) = (NIL, NIL);
-        self.path.clear();
-        let mut t = t;
-        while t != NIL {
-            self.path.push(t);
-            if self.entries[t as usize].key.cmp(key) == Ordering::Less {
-                if lhook == NIL {
-                    lroot = t;
-                } else {
-                    self.entries[lhook as usize].right = t;
-                }
-                lhook = t;
-                t = self.entries[t as usize].right;
-            } else {
-                if rhook == NIL {
-                    rroot = t;
-                } else {
-                    self.entries[rhook as usize].left = t;
-                }
-                rhook = t;
-                t = self.entries[t as usize].left;
-            }
-        }
-        if lhook != NIL {
-            self.entries[lhook as usize].right = NIL;
-        }
-        if rhook != NIL {
-            self.entries[rhook as usize].left = NIL;
-        }
-        // The descent path lists each modified node before its altered
-        // child, so pulling in reverse rebuilds sums bottom-up.
-        for i in (0..self.path.len()).rev() {
-            let u = self.path[i];
-            self.pull(u);
-        }
-        (lroot, rroot)
-    }
-
-    /// Iterative top-down merge; same priority tie-break (`a` wins on
-    /// equal priorities) as the textbook recursive form.
-    // bct-lint: no_alloc
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        let (mut a, mut b) = (a, b);
-        let mut root = NIL;
-        // Node whose child slot (right if `hook_right`) awaits the rest.
-        let mut hook = NIL;
-        let mut hook_right = false;
-        self.path2.clear();
-        loop {
-            if a == NIL || b == NIL {
-                let rest = if a == NIL { b } else { a };
-                if hook == NIL {
-                    root = rest;
-                } else if hook_right {
-                    self.entries[hook as usize].right = rest;
-                } else {
-                    self.entries[hook as usize].left = rest;
-                }
-                break;
-            }
-            let take_a = self.entries[a as usize].prio >= self.entries[b as usize].prio;
-            let t = if take_a { a } else { b };
-            if hook == NIL {
-                root = t;
-            } else if hook_right {
-                self.entries[hook as usize].right = t;
-            } else {
-                self.entries[hook as usize].left = t;
-            }
-            hook = t;
-            hook_right = take_a;
-            self.path2.push(t);
-            if take_a {
-                a = self.entries[t as usize].right;
-            } else {
-                b = self.entries[t as usize].left;
-            }
-        }
-        for i in (0..self.path2.len()).rev() {
-            let u = self.path2[i];
-            self.pull(u);
-        }
-        root
-    }
-
-    /// Insert a job entering `Q_v` with full requirement `p` remaining.
-    pub fn insert(&mut self, v: usize, key: QueueKey, p: f64) {
-        let idx = self.alloc(key, p, p);
-        let (a, b) = self.split_lt(self.roots[v], &key);
-        let ab = self.merge(a, idx);
-        self.roots[v] = self.merge(ab, b);
-    }
-
-    /// Test-only insert with a forced priority, so tests can build
-    /// degenerate path-shaped treaps far deeper than the random stream
-    /// would ever produce.
-    #[cfg(test)]
-    fn insert_with_prio(&mut self, v: usize, key: QueueKey, p: f64, prio: u64) {
-        let idx = self.alloc_with_prio(key, p, p, prio);
-        let (a, b) = self.split_lt(self.roots[v], &key);
-        let ab = self.merge(a, idx);
-        self.roots[v] = self.merge(ab, b);
-    }
-
-    /// Remove the entry with exactly `key` from `Q_v`. Iterative:
-    /// descend to the entry, merge its children into its slot, rebuild
-    /// sums along the descent.
-    pub fn remove(&mut self, v: usize, key: &QueueKey) {
-        let mut t = self.roots[v];
-        self.path.clear();
-        loop {
-            assert!(t != NIL, "removing a job that is not in the queue");
-            match key.cmp(&self.entries[t as usize].key) {
-                Ordering::Less => {
-                    self.path.push(t);
-                    t = self.entries[t as usize].left;
-                }
-                Ordering::Greater => {
-                    self.path.push(t);
-                    t = self.entries[t as usize].right;
-                }
-                Ordering::Equal => break,
-            }
-        }
-        let (l, r) = (self.entries[t as usize].left, self.entries[t as usize].right);
-        self.free.push(t);
-        let merged = self.merge(l, r); // uses `path2`, leaves `path` intact
-        match self.path.last() {
-            None => self.roots[v] = merged,
-            Some(&parent) => {
-                if self.entries[parent as usize].left == t {
-                    self.entries[parent as usize].left = merged;
-                } else {
-                    self.entries[parent as usize].right = merged;
-                }
-            }
-        }
-        for i in (0..self.path.len()).rev() {
-            let u = self.path[i];
-            self.pull(u);
-        }
-    }
-
-    /// Update the stored remainder of the entry with `key` in `Q_v`.
-    /// The search path lives in a growable scratch stack — a fixed-size
-    /// array here once made deep treaps an out-of-bounds panic.
-    // bct-lint: no_alloc
-    pub fn set_rem(&mut self, v: usize, key: &QueueKey, rem: f64) {
-        let mut t = self.roots[v];
-        // Collect the search path, then rebuild sums bottom-up.
-        self.path.clear();
-        loop {
-            assert!(t != NIL, "updating a job that is not in the queue");
-            self.path.push(t);
-            match key.cmp(&self.entries[t as usize].key) {
-                Ordering::Less => t = self.entries[t as usize].left,
-                Ordering::Greater => t = self.entries[t as usize].right,
-                Ordering::Equal => break,
-            }
-        }
-        self.entries[t as usize].rem = rem;
-        for i in (0..self.path.len()).rev() {
-            let u = self.path[i];
-            self.pull(u);
-        }
-    }
-
-    /// Aggregates over all of `Q_v`.
-    // bct-lint: no_alloc
-    pub fn totals(&self, v: usize) -> AggSums {
-        let t = self.roots[v];
-        if t == NIL {
-            AggSums::default()
-        } else {
-            self.entries[t as usize].sums
-        }
-    }
-
-    /// Aggregates over entries with key strictly before `key`.
-    // bct-lint: no_alloc
-    pub fn before(&self, v: usize, key: &QueueKey) -> AggSums {
-        let mut acc = AggSums::default();
-        let mut t = self.roots[v];
-        while t != NIL {
-            let e = &self.entries[t as usize];
-            if e.key.cmp(key) == Ordering::Less {
-                if e.left != NIL {
-                    acc.add(self.entries[e.left as usize].sums);
-                }
-                acc.add_entry(e);
-                t = e.right;
-            } else {
-                t = e.left;
-            }
-        }
-        acc
-    }
-
-    /// Aggregates over entries with effective size strictly greater than
-    /// `eff` (any release / id). Summed directly over the suffix — not
-    /// as `totals − prefix` — so no cancellation error sneaks in.
-    // bct-lint: no_alloc
-    pub fn above_eff(&self, v: usize, eff: f64) -> AggSums {
-        let mut acc = AggSums::default();
-        let mut t = self.roots[v];
-        while t != NIL {
-            let e = &self.entries[t as usize];
-            if e.key.eff > eff {
-                if e.right != NIL {
-                    acc.add(self.entries[e.right as usize].sums);
-                }
-                acc.add_entry(e);
-                t = e.left;
-            } else {
-                t = e.right;
-            }
-        }
-        acc
-    }
-}
-
-/// Entries per summary block of the flat layout. Small enough that a
-/// partial-block scan is a handful of cache-resident adds, large
-/// enough that whole-queue queries touch `|Q|/16` summaries.
+/// Entries per summary block. Small enough that a partial-block scan
+/// is a handful of cache-resident adds, large enough that whole-queue
+/// queries touch `|Q|/16` summaries.
 const BLOCK: usize = 16;
 
-/// One node's queue in the flat layout: parallel arrays sorted by
-/// [`QueueKey`], plus one [`AggSums`] per fixed-width block of entries.
+/// One node's queue: parallel arrays sorted by [`QueueKey`], plus one
+/// [`AggSums`] per fixed-width block of entries.
 #[derive(Debug, Default)]
 struct FlatNode {
     keys: Vec<QueueKey>,
@@ -560,26 +161,25 @@ impl FlatNode {
     }
 }
 
-/// The flat (sorted-run) aggregate layout: one [`FlatNode`] per tree
-/// node. Same operation contract and panic messages as
-/// [`QueueAggregates`].
+/// The engine's per-node queue aggregates: one [`FlatNode`] per tree
+/// node.
 #[derive(Debug, Default)]
-pub(crate) struct FlatAggregates {
+pub(crate) struct AggStore {
     nodes: Vec<FlatNode>,
 }
 
-impl FlatAggregates {
+impl AggStore {
     /// Fresh aggregates over `num_nodes` queues (test convenience).
     #[cfg(test)]
-    pub fn new(num_nodes: usize) -> FlatAggregates {
-        let mut agg = FlatAggregates::default();
+    pub fn new(num_nodes: usize) -> AggStore {
+        let mut agg = AggStore::default();
         agg.reset(num_nodes);
         agg
     }
 
     /// Clear all queues, keeping every buffer's capacity. Nodes beyond
     /// `num_nodes` from an earlier larger reset are kept (cleared) so
-    /// their capacities survive alternating layouts/topologies.
+    /// their capacities survive alternating topologies.
     pub fn reset(&mut self, num_nodes: usize) {
         for n in &mut self.nodes {
             n.clear();
@@ -587,15 +187,18 @@ impl FlatAggregates {
         self.grow_nodes(num_nodes);
     }
 
-    /// Extend to `num_nodes` queues without touching existing ones
-    /// (mid-run topology growth).
+    /// Extend to `num_nodes` queues without disturbing existing
+    /// entries — called when a topology mutation adds nodes mid-run.
+    /// Any allocation lands at the mutation event, never in the steady
+    /// state between mutations.
     pub fn grow_nodes(&mut self, num_nodes: usize) {
         if self.nodes.len() < num_nodes {
             self.nodes.resize_with(num_nodes, FlatNode::default);
         }
     }
 
-    /// Pre-size every queue for `per_queue` simultaneous entries.
+    /// Pre-size every queue for `per_queue` simultaneous entries — the
+    /// worst-case occupancy of a single `Q_v` (all unfinished jobs).
     pub fn reserve(&mut self, per_queue: usize) {
         for n in &mut self.nodes {
             n.reserve(per_queue);
@@ -622,7 +225,7 @@ impl FlatAggregates {
     pub fn remove(&mut self, v: usize, key: &QueueKey) {
         let n = &mut self.nodes[v];
         let Ok(idx) = n.find(key) else {
-            // bct-lint: allow(p1) -- same contract as the treap: an absent key is an engine bug; harness catch_unwind fault-isolates
+            // bct-lint: allow(p1) -- an absent key is an engine bug; harness catch_unwind fault-isolates
             panic!("removing a job that is not in the queue");
         };
         n.keys.remove(idx);
@@ -637,7 +240,7 @@ impl FlatAggregates {
     pub fn set_rem(&mut self, v: usize, key: &QueueKey, rem: f64) {
         let n = &mut self.nodes[v];
         let Ok(idx) = n.find(key) else {
-            // bct-lint: allow(p1) -- same contract as the treap: an absent key is an engine bug; harness catch_unwind fault-isolates
+            // bct-lint: allow(p1) -- an absent key is an engine bug; harness catch_unwind fault-isolates
             panic!("updating a job that is not in the queue");
         };
         n.rem[idx] = rem;
@@ -695,101 +298,364 @@ impl FlatAggregates {
     }
 }
 
-/// The engine-facing aggregate store: owns both layouts (so one pooled
-/// scratch serves either mode without reallocating) and dispatches on
-/// the [`AggLayout`] selected at [`AggStore::reset`].
-#[derive(Debug, Default)]
-pub(crate) struct AggStore {
-    layout: AggLayout,
-    flat: FlatAggregates,
-    treap: QueueAggregates,
-}
+/// The order-statistic treap (arena, `u32` links, free list,
+/// deterministic xorshift priorities) the flat store replaced, kept as
+/// the oracle the store's tests compare against. It sums in tree order,
+/// so it agrees with the store bit for bit only on dyadic sizes.
+#[cfg(test)]
+mod treap {
+    use super::{AggSums, QueueKey};
+    use std::cmp::Ordering;
 
-impl AggStore {
-    /// Clear both layouts for `num_nodes` queues and select `layout`
-    /// for this run, keeping every capacity.
-    pub fn reset(&mut self, layout: AggLayout, num_nodes: usize) {
-        self.layout = layout;
-        self.flat.reset(num_nodes);
-        self.treap.reset(num_nodes);
+    /// Sentinel for "no child" / "empty tree".
+    const NIL: u32 = u32::MAX;
+
+    #[derive(Clone, Debug)]
+    pub(super) struct Entry {
+        key: QueueKey,
+        prio: u64,
+        left: u32,
+        right: u32,
+        /// Remaining work of this job at this node (stored value).
+        rem: f64,
+        /// Full requirement `p_{j,v}`, for the fractional remainder.
+        p: f64,
+        /// Subtree aggregates (including this entry).
+        sums: AggSums,
     }
 
-    /// Extend both layouts to cover `num_nodes` queues without
-    /// disturbing existing entries — called when a topology mutation
-    /// adds nodes mid-run. Any allocation lands at the mutation event,
-    /// never in the steady state between mutations.
-    pub fn grow_nodes(&mut self, num_nodes: usize) {
-        self.flat.grow_nodes(num_nodes);
-        self.treap.grow_nodes(num_nodes);
+    /// Seed of the deterministic priority stream; reset to this on every
+    /// [`QueueAggregates::reset`] so a reset treap takes the shapes of a
+    /// fresh one.
+    const PRIO_SEED: u64 = 0x853C_49E6_748F_EA9B;
+
+    /// One treap per tree node, all sharing an arena.
+    #[derive(Debug, Default)]
+    pub(super) struct QueueAggregates {
+        pub(super) entries: Vec<Entry>,
+        free: Vec<u32>,
+        roots: Vec<u32>,
+        rng: u64,
+        /// Scratch stacks for the iterative treap walks (descent path /
+        /// merge path); cleared per operation, capacity reused.
+        path: Vec<u32>,
+        path2: Vec<u32>,
     }
 
-    /// Pre-size the *active* layout: `per_queue` is the worst-case
-    /// occupancy of a single `Q_v` (all unfinished jobs), `total` the
-    /// worst-case live entries across all queues (jobs × hops). The
-    /// idle layout keeps its capacities but is not grown.
-    pub fn reserve(&mut self, per_queue: usize, total: usize) {
-        match self.layout {
-            AggLayout::Flat => self.flat.reserve(per_queue),
-            AggLayout::Treap => self.treap.reserve(total),
+    impl QueueAggregates {
+        /// Fresh aggregates over `num_nodes` queues.
+        pub fn new(num_nodes: usize) -> QueueAggregates {
+            let mut agg = QueueAggregates::default();
+            agg.reset(num_nodes);
+            agg
         }
-    }
 
-    /// Insert a job entering `Q_v` with full requirement `p` remaining.
-    pub fn insert(&mut self, v: usize, key: QueueKey, p: f64) {
-        match self.layout {
-            AggLayout::Flat => self.flat.insert(v, key, p),
-            AggLayout::Treap => self.treap.insert(v, key, p),
+        /// Clear all queues and re-seed the priority stream, keeping every
+        /// buffer's capacity. A reset aggregate is indistinguishable from a
+        /// freshly constructed one — including treap shapes, which depend on
+        /// the priority stream position.
+        pub fn reset(&mut self, num_nodes: usize) {
+            self.entries.clear();
+            self.free.clear();
+            self.roots.clear();
+            self.roots.resize(num_nodes, NIL);
+            self.rng = PRIO_SEED;
         }
-    }
 
-    /// Remove the entry with exactly `key` from `Q_v`.
-    pub fn remove(&mut self, v: usize, key: &QueueKey) {
-        match self.layout {
-            AggLayout::Flat => self.flat.remove(v, key),
-            AggLayout::Treap => self.treap.remove(v, key),
+        fn next_prio(&mut self) -> u64 {
+            // xorshift64: full-period, deterministic, plenty for treap shape.
+            let mut x = self.rng;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.rng = x;
+            x
         }
-    }
 
-    /// Update the stored remainder of the entry with `key` in `Q_v`.
-    // bct-lint: no_alloc
-    pub fn set_rem(&mut self, v: usize, key: &QueueKey, rem: f64) {
-        match self.layout {
-            AggLayout::Flat => self.flat.set_rem(v, key, rem),
-            AggLayout::Treap => self.treap.set_rem(v, key, rem),
+        fn alloc(&mut self, key: QueueKey, rem: f64, p: f64) -> u32 {
+            let prio = self.next_prio();
+            self.alloc_with_prio(key, rem, p, prio)
         }
-    }
 
-    /// Aggregates over all of `Q_v`.
-    // bct-lint: no_alloc
-    pub fn totals(&self, v: usize) -> AggSums {
-        match self.layout {
-            AggLayout::Flat => self.flat.totals(v),
-            AggLayout::Treap => self.treap.totals(v),
+        fn alloc_with_prio(&mut self, key: QueueKey, rem: f64, p: f64, prio: u64) -> u32 {
+            let entry = Entry {
+                key,
+                prio,
+                left: NIL,
+                right: NIL,
+                rem,
+                p,
+                sums: AggSums {
+                    cnt: 1,
+                    sum_rem: rem,
+                    sum_frac: rem / p,
+                },
+            };
+            match self.free.pop() {
+                Some(i) => {
+                    self.entries[i as usize] = entry;
+                    i
+                }
+                None => {
+                    self.entries.push(entry);
+                    (self.entries.len() - 1) as u32
+                }
+            }
         }
-    }
 
-    /// Aggregates over entries with key strictly before `key`.
-    // bct-lint: no_alloc
-    pub fn before(&self, v: usize, key: &QueueKey) -> AggSums {
-        match self.layout {
-            AggLayout::Flat => self.flat.before(v, key),
-            AggLayout::Treap => self.treap.before(v, key),
+        /// Recompute `t`'s subtree sums from its children and own values.
+        /// Sums are rebuilt (not delta-adjusted), so float error never
+        /// accumulates across updates.
+        fn pull(&mut self, t: u32) {
+            let (l, r) = (self.entries[t as usize].left, self.entries[t as usize].right);
+            let mut sums = AggSums {
+                cnt: 1,
+                sum_rem: self.entries[t as usize].rem,
+                sum_frac: self.entries[t as usize].rem / self.entries[t as usize].p,
+            };
+            for c in [l, r] {
+                if c != NIL {
+                    let cs = self.entries[c as usize].sums;
+                    sums.cnt += cs.cnt;
+                    sums.sum_rem += cs.sum_rem;
+                    sums.sum_frac += cs.sum_frac;
+                }
+            }
+            self.entries[t as usize].sums = sums;
         }
-    }
 
-    /// Aggregates over entries with effective size strictly greater
-    /// than `eff`.
-    // bct-lint: no_alloc
-    pub fn above_eff(&self, v: usize, eff: f64) -> AggSums {
-        match self.layout {
-            AggLayout::Flat => self.flat.above_eff(v, eff),
-            AggLayout::Treap => self.treap.above_eff(v, eff),
+        /// Split into (keys < `key`, keys ≥ `key`). Iterative — treap depth
+        /// is unbounded in the worst case, so no walk here may recurse.
+        fn split_lt(&mut self, t: u32, key: &QueueKey) -> (u32, u32) {
+            let (mut lroot, mut rroot) = (NIL, NIL);
+            // Nodes whose right (resp. left) child slot awaits the next
+            // piece of the left (resp. right) split.
+            let (mut lhook, mut rhook) = (NIL, NIL);
+            self.path.clear();
+            let mut t = t;
+            while t != NIL {
+                self.path.push(t);
+                if self.entries[t as usize].key.cmp(key) == Ordering::Less {
+                    if lhook == NIL {
+                        lroot = t;
+                    } else {
+                        self.entries[lhook as usize].right = t;
+                    }
+                    lhook = t;
+                    t = self.entries[t as usize].right;
+                } else {
+                    if rhook == NIL {
+                        rroot = t;
+                    } else {
+                        self.entries[rhook as usize].left = t;
+                    }
+                    rhook = t;
+                    t = self.entries[t as usize].left;
+                }
+            }
+            if lhook != NIL {
+                self.entries[lhook as usize].right = NIL;
+            }
+            if rhook != NIL {
+                self.entries[rhook as usize].left = NIL;
+            }
+            // The descent path lists each modified node before its altered
+            // child, so pulling in reverse rebuilds sums bottom-up.
+            for i in (0..self.path.len()).rev() {
+                let u = self.path[i];
+                self.pull(u);
+            }
+            (lroot, rroot)
+        }
+
+        /// Iterative top-down merge; same priority tie-break (`a` wins on
+        /// equal priorities) as the textbook recursive form.
+        fn merge(&mut self, a: u32, b: u32) -> u32 {
+            if a == NIL {
+                return b;
+            }
+            if b == NIL {
+                return a;
+            }
+            let (mut a, mut b) = (a, b);
+            let mut root = NIL;
+            // Node whose child slot (right if `hook_right`) awaits the rest.
+            let mut hook = NIL;
+            let mut hook_right = false;
+            self.path2.clear();
+            loop {
+                if a == NIL || b == NIL {
+                    let rest = if a == NIL { b } else { a };
+                    if hook == NIL {
+                        root = rest;
+                    } else if hook_right {
+                        self.entries[hook as usize].right = rest;
+                    } else {
+                        self.entries[hook as usize].left = rest;
+                    }
+                    break;
+                }
+                let take_a = self.entries[a as usize].prio >= self.entries[b as usize].prio;
+                let t = if take_a { a } else { b };
+                if hook == NIL {
+                    root = t;
+                } else if hook_right {
+                    self.entries[hook as usize].right = t;
+                } else {
+                    self.entries[hook as usize].left = t;
+                }
+                hook = t;
+                hook_right = take_a;
+                self.path2.push(t);
+                if take_a {
+                    a = self.entries[t as usize].right;
+                } else {
+                    b = self.entries[t as usize].left;
+                }
+            }
+            for i in (0..self.path2.len()).rev() {
+                let u = self.path2[i];
+                self.pull(u);
+            }
+            root
+        }
+
+        /// Insert a job entering `Q_v` with full requirement `p` remaining.
+        pub fn insert(&mut self, v: usize, key: QueueKey, p: f64) {
+            let idx = self.alloc(key, p, p);
+            let (a, b) = self.split_lt(self.roots[v], &key);
+            let ab = self.merge(a, idx);
+            self.roots[v] = self.merge(ab, b);
+        }
+
+        /// Test-only insert with a forced priority, so tests can build
+        /// degenerate path-shaped treaps far deeper than the random stream
+        /// would ever produce.
+        #[cfg(test)]
+        pub(super) fn insert_with_prio(&mut self, v: usize, key: QueueKey, p: f64, prio: u64) {
+            let idx = self.alloc_with_prio(key, p, p, prio);
+            let (a, b) = self.split_lt(self.roots[v], &key);
+            let ab = self.merge(a, idx);
+            self.roots[v] = self.merge(ab, b);
+        }
+
+        /// Remove the entry with exactly `key` from `Q_v`. Iterative:
+        /// descend to the entry, merge its children into its slot, rebuild
+        /// sums along the descent.
+        pub fn remove(&mut self, v: usize, key: &QueueKey) {
+            let mut t = self.roots[v];
+            self.path.clear();
+            loop {
+                assert!(t != NIL, "removing a job that is not in the queue");
+                match key.cmp(&self.entries[t as usize].key) {
+                    Ordering::Less => {
+                        self.path.push(t);
+                        t = self.entries[t as usize].left;
+                    }
+                    Ordering::Greater => {
+                        self.path.push(t);
+                        t = self.entries[t as usize].right;
+                    }
+                    Ordering::Equal => break,
+                }
+            }
+            let (l, r) = (self.entries[t as usize].left, self.entries[t as usize].right);
+            self.free.push(t);
+            let merged = self.merge(l, r); // uses `path2`, leaves `path` intact
+            match self.path.last() {
+                None => self.roots[v] = merged,
+                Some(&parent) => {
+                    if self.entries[parent as usize].left == t {
+                        self.entries[parent as usize].left = merged;
+                    } else {
+                        self.entries[parent as usize].right = merged;
+                    }
+                }
+            }
+            for i in (0..self.path.len()).rev() {
+                let u = self.path[i];
+                self.pull(u);
+            }
+        }
+
+        /// Update the stored remainder of the entry with `key` in `Q_v`.
+        /// The search path lives in a growable scratch stack — a fixed-size
+        /// array here once made deep treaps an out-of-bounds panic.
+        pub fn set_rem(&mut self, v: usize, key: &QueueKey, rem: f64) {
+            let mut t = self.roots[v];
+            // Collect the search path, then rebuild sums bottom-up.
+            self.path.clear();
+            loop {
+                assert!(t != NIL, "updating a job that is not in the queue");
+                self.path.push(t);
+                match key.cmp(&self.entries[t as usize].key) {
+                    Ordering::Less => t = self.entries[t as usize].left,
+                    Ordering::Greater => t = self.entries[t as usize].right,
+                    Ordering::Equal => break,
+                }
+            }
+            self.entries[t as usize].rem = rem;
+            for i in (0..self.path.len()).rev() {
+                let u = self.path[i];
+                self.pull(u);
+            }
+        }
+
+        /// Aggregates over all of `Q_v`.
+        pub fn totals(&self, v: usize) -> AggSums {
+            let t = self.roots[v];
+            if t == NIL {
+                AggSums::default()
+            } else {
+                self.entries[t as usize].sums
+            }
+        }
+
+        /// Aggregates over entries with key strictly before `key`.
+        pub fn before(&self, v: usize, key: &QueueKey) -> AggSums {
+            let mut acc = AggSums::default();
+            let mut t = self.roots[v];
+            while t != NIL {
+                let e = &self.entries[t as usize];
+                if e.key.cmp(key) == Ordering::Less {
+                    if e.left != NIL {
+                        acc.add(self.entries[e.left as usize].sums);
+                    }
+                    acc.add_raw(e.rem, e.p);
+                    t = e.right;
+                } else {
+                    t = e.left;
+                }
+            }
+            acc
+        }
+
+        /// Aggregates over entries with effective size strictly greater than
+        /// `eff` (any release / id). Summed directly over the suffix — not
+        /// as `totals − prefix` — so no cancellation error sneaks in.
+        pub fn above_eff(&self, v: usize, eff: f64) -> AggSums {
+            let mut acc = AggSums::default();
+            let mut t = self.roots[v];
+            while t != NIL {
+                let e = &self.entries[t as usize];
+                if e.key.eff > eff {
+                    if e.right != NIL {
+                        acc.add(self.entries[e.right as usize].sums);
+                    }
+                    acc.add_raw(e.rem, e.p);
+                    t = e.left;
+                } else {
+                    t = e.right;
+                }
+            }
+            acc
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::treap::QueueAggregates;
     use super::*;
 
     fn key(eff: f64, id: u32) -> QueueKey {
@@ -939,7 +805,7 @@ mod tests {
 
     #[test]
     fn flat_empty_queue_yields_zero() {
-        let agg = FlatAggregates::new(3);
+        let agg = AggStore::new(3);
         assert_eq!(agg.totals(2), AggSums::default());
         assert_eq!(agg.before(2, &key(1.0, 0)), AggSums::default());
         assert_eq!(agg.above_eff(2, 0.0), AggSums::default());
@@ -948,7 +814,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not in the queue")]
     fn flat_removing_missing_entry_panics() {
-        let mut agg = FlatAggregates::new(1);
+        let mut agg = AggStore::new(1);
         agg.insert(0, key(1.0, 0), 1.0);
         agg.remove(0, &key(2.0, 1));
     }
@@ -956,7 +822,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not in the queue")]
     fn flat_updating_missing_entry_panics() {
-        let mut agg = FlatAggregates::new(1);
+        let mut agg = AggStore::new(1);
         agg.set_rem(0, &key(1.0, 0), 0.5);
     }
 
@@ -966,7 +832,7 @@ mod tests {
     #[test]
     fn flat_block_boundaries_match_brute_force() {
         for n in [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK, 3 * BLOCK + 7] {
-            let mut agg = FlatAggregates::new(1);
+            let mut agg = AggStore::new(1);
             let mut mir = Mirror::default();
             for i in 0..n as u32 {
                 let p = f64::powi(2.0, (i % 4) as i32);
@@ -990,16 +856,14 @@ mod tests {
         }
     }
 
-    /// The engine contract test: [`AggStore`] in both layouts, fed the
-    /// identical operation stream, answers every query bit-exactly the
-    /// same on dyadic sizes (where float sums are association-free, so
-    /// the layouts' different summation orders cannot diverge).
+    /// The engine contract test: [`AggStore`] and the treap oracle, fed
+    /// the identical operation stream, answer every query bit-exactly
+    /// the same on dyadic sizes (where float sums are association-free,
+    /// so their different summation orders cannot diverge).
     #[test]
     fn store_layouts_agree_bit_exactly_on_dyadic_stream() {
-        let mut flat = AggStore::default();
-        flat.reset(AggLayout::Flat, 2);
-        let mut treap = AggStore::default();
-        treap.reset(AggLayout::Treap, 2);
+        let mut flat = AggStore::new(2);
+        let mut treap = QueueAggregates::new(2);
         let mut x = 99u64;
         let mut step = || {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -1067,10 +931,8 @@ mod tests {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 x >> 33
             };
-            let mut flat = AggStore::default();
-            flat.reset(AggLayout::Flat, 2);
-            let mut treap = AggStore::default();
-            treap.reset(AggLayout::Treap, 2);
+            let mut flat = AggStore::new(2);
+            let mut treap = QueueAggregates::new(2);
             let mut live: Vec<Vec<(QueueKey, f64)>> = vec![Vec::new(); 2];
             let n_ops = 20 + (step() % 180) as u32;
             for i in 0..n_ops {
@@ -1121,7 +983,7 @@ mod tests {
 
     #[test]
     fn flat_reset_matches_fresh_construction() {
-        let mut used = FlatAggregates::new(2);
+        let mut used = AggStore::new(2);
         for i in 0..100 {
             used.insert(0, key((i % 7) as f64, i), 2.0);
         }
@@ -1129,7 +991,7 @@ mod tests {
             used.remove(0, &key((i % 7) as f64, i));
         }
         used.reset(2);
-        let mut fresh = FlatAggregates::new(2);
+        let mut fresh = AggStore::new(2);
         for agg in [&mut used, &mut fresh] {
             for i in 0..200 {
                 agg.insert(0, key((i % 13) as f64, i), f64::powi(2.0, (i % 3) as i32));

@@ -1,7 +1,6 @@
 //! The event-driven engine.
 
-use crate::agg::AggLayout;
-use crate::evq::{EventQueue, EventQueueKind, FinishEv};
+use crate::evq::{EventQueue, FinishEv};
 use crate::outcome::{HopFinishes, SimOutcome};
 use crate::policy::{NodePolicy, Probe, StatefulPolicy};
 use crate::scratch::SimScratch;
@@ -46,15 +45,6 @@ pub struct SimConfig {
     /// (`None` = raw sizes). Dispatch policies whose own rounding
     /// matches get `O(log)` scoring queries instead of queue scans.
     pub dispatch_rounding: Option<ClassRounding>,
-    /// Pending-event queue implementation. The calendar queue (default)
-    /// and the binary heap pop in the same order, so outputs are
-    /// byte-identical; the heap is kept as the differential oracle.
-    pub event_queue: EventQueueKind,
-    /// Queue-aggregate layout. The flat layout (default) and the treap
-    /// answer queries in different float-summation orders, so greedy
-    /// scores may differ in final bits on non-dyadic sizes; the treap
-    /// is kept as the differential oracle.
-    pub aggregates: AggLayout,
     /// Topology mutation schedule, sorted by time. Empty (the default)
     /// keeps the run fully static on the instance's tree — the
     /// pre-dynamic code path, byte-identical outputs included. A
@@ -79,8 +69,6 @@ impl SimConfig {
             horizon: None,
             max_events: 1 << 34,
             dispatch_rounding: None,
-            event_queue: EventQueueKind::default(),
-            aggregates: AggLayout::default(),
             mutations: Vec::new(),
         }
     }
@@ -97,31 +85,11 @@ impl SimConfig {
         self
     }
 
-    /// Select the pending-event queue implementation.
-    pub fn with_event_queue(mut self, kind: EventQueueKind) -> SimConfig {
-        self.event_queue = kind;
-        self
-    }
-
-    /// Select the queue-aggregate layout.
-    pub fn with_aggregates(mut self, layout: AggLayout) -> SimConfig {
-        self.aggregates = layout;
-        self
-    }
-
     /// Schedule topology mutations (must be sorted by time; validated
     /// at run start).
     pub fn with_mutations(mut self, mutations: Vec<TopoMutation>) -> SimConfig {
         self.mutations = mutations;
         self
-    }
-
-    /// Compat mode: the binary event heap and the treap aggregates —
-    /// the oracle configuration the differential suite compares the
-    /// defaults against.
-    pub fn compat_structures(self) -> SimConfig {
-        self.with_event_queue(EventQueueKind::BinaryHeap)
-            .with_aggregates(AggLayout::Treap)
     }
 }
 
@@ -219,8 +187,8 @@ impl Simulation {
     /// [`Simulation::run`], reusing `scratch`'s buffers. Repeated runs
     /// over the same topology shape are allocation-free in steady state
     /// (pair with [`SimScratch::recycle`] to also reuse the outcome
-    /// vectors). Results are bit-identical to a fresh run — the
-    /// aggregate treap re-seeds its priority stream on reset. On error
+    /// vectors). Results are bit-identical to a fresh run — every pooled
+    /// structure's order depends only on its current contents. On error
     /// every buffer is still handed back, so `scratch` stays reusable.
     // bct-lint: no_alloc
     pub fn run_with_scratch<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized, P: Probe + ?Sized>(
@@ -245,13 +213,12 @@ impl Simulation {
             instance,
             cfg.dispatch_rounding,
             track_aggs,
-            cfg.aggregates,
             dynamic,
             scratch,
         );
         let mut trace = cfg.record_trace.then(Trace::default);
         let mut evq = mem::take(&mut scratch.evq);
-        evq.reset(cfg.event_queue);
+        evq.reset(0);
         // Topology mutations ride the pending-event queue as sentinel
         // events (node = TOPO_NODE, version = schedule index). Pushed
         // first, they take the smallest sequence numbers, so at equal

@@ -1,16 +1,12 @@
-//! The engine's pending-event queue.
-//!
-//! Two interchangeable implementations live behind [`EventQueueKind`]:
-//!
-//! * [`EventQueueKind::Calendar`] (default) — a monotone bucketed
-//!   radix/calendar queue over the packed `(t, seq)` key. A push costs
-//!   one bit-scan; a pop re-buckets at most one bucket, and every
-//!   re-bucketed event moves to a strictly lower bucket, so each event
-//!   is touched `O(1)` amortized times over its life instead of paying
-//!   `O(log n)` sift-downs in a binary heap.
-//! * [`EventQueueKind::BinaryHeap`] — the original binary heap, kept as
-//!   the differential oracle (`crates/sim/tests/differential_queue.rs`
-//!   proves byte-identical outcomes at the `SimOutcome` level).
+//! The engine's pending-event queue: a monotone bucketed
+//! radix/calendar queue over the packed `(t, seq)` key. A push costs
+//! one bit-scan; a pop re-buckets at most one bucket, and every
+//! re-bucketed event moves to a strictly lower bucket, so each event is
+//! touched `O(1)` amortized times over its life instead of paying
+//! `O(log n)` sift-downs in a binary heap. The binary heap it replaced
+//! survives only as the test oracle of this module's unit tests, and
+//! `crates/sim/tests/differential_queue.rs` pins whole-run outcome
+//! digests recorded while the two were still interchangeable.
 //!
 //! # Quantized key, exact order
 //!
@@ -20,7 +16,7 @@
 //! compares keys as integers. For the engine's event times — finite and
 //! `≥ 0`, being maxes/sums of nonnegative quantities — `f64::to_bits`
 //! is strictly monotone in the float order, so the packed integer order
-//! *is* the heap comparator's order; nothing is approximated. The one
+//! *is* the `(t, seq)` order; nothing is approximated. The one
 //! non-monotone bit pattern in that range, `-0.0` (sign bit set), is
 //! normalized to `+0.0` on push by adding `0.0` (the identity on every
 //! other value), keeping the mapping monotone even for defensive
@@ -42,21 +38,7 @@
 
 use bct_core::time::OrderedTime;
 use bct_core::{NodeId, Time};
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
-
-/// Which pending-event structure the engine uses. Pop order — and hence
-/// every simulation output bit — is identical between the two; only the
-/// constant factors differ.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EventQueueKind {
-    /// The bucketed calendar/radix queue (default).
-    #[default]
-    Calendar,
-    /// The binary heap the calendar queue replaced, kept as the
-    /// differential-test oracle.
-    BinaryHeap,
-}
+use std::cmp::Ordering;
 
 /// A scheduled hop-finish event. Only the `(t, seq)` pair participates
 /// in the queue order — earlier time first, then FIFO by push sequence
@@ -74,26 +56,6 @@ pub struct FinishEv {
     /// The node's scheduling version at push time; a mismatch at pop
     /// time marks the event stale.
     pub version: u64,
-}
-
-impl PartialEq for FinishEv {
-    fn eq(&self, other: &FinishEv) -> bool {
-        self.t == other.t && self.seq == other.seq
-    }
-}
-
-impl Eq for FinishEv {}
-
-impl PartialOrd for FinishEv {
-    fn partial_cmp(&self, other: &FinishEv) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for FinishEv {
-    fn cmp(&self, other: &FinishEv) -> Ordering {
-        (self.t, self.seq).cmp(&(other.t, other.seq))
-    }
 }
 
 /// An event inside the calendar queue: the packed 128-bit key plus the
@@ -130,7 +92,12 @@ fn bucket_of(last: u128, key: u128) -> Option<usize> {
 /// the floor.
 const BUCKETS: usize = 128;
 
-/// Monotone bucketed radix queue over the packed `(t, seq)` key.
+/// The pending-event queue handed to the engine: a monotone bucketed
+/// radix queue over the packed `(t, seq)` key, pooled in
+/// [`crate::SimScratch`] so warm runs reuse every bucket's capacity.
+/// Arrivals never enter the queue: instances validate release-sorted
+/// jobs, so the engine walks them with a cursor and merges the two
+/// streams at pop time.
 ///
 /// Invariants between operations:
 ///
@@ -162,7 +129,7 @@ const BUCKETS: usize = 128;
 /// because their first-differing bit is untouched by the floor move),
 /// bounding total re-bucketing work by 128 moves per event.
 #[derive(Debug, Default)]
-struct CalendarQueue {
+pub struct EventQueue {
     buckets: Vec<Vec<CalEv>>,
     /// Entries whose key equals `last` (the `(0, 0)` first push only).
     front: Vec<CalEv>,
@@ -177,14 +144,18 @@ struct CalendarQueue {
     /// [`IN_FRONT`] when it sits in `front`. Meaningless when empty.
     min_at: (u32, u32),
     len: usize,
+    /// Next push sequence number (FIFO tie-break at equal times).
+    seq: u64,
 }
 
-/// Sentinel bucket index marking `front` in [`CalendarQueue::min_at`].
+/// Sentinel bucket index marking `front` in [`EventQueue::min_at`].
 const IN_FRONT: u32 = BUCKETS as u32;
 
-impl CalendarQueue {
-    /// Empty the queue and reset the floor, keeping every capacity.
-    fn reset(&mut self) {
+impl EventQueue {
+    /// Empty the queue, reset the floor and restart the sequence
+    /// counter, keeping every capacity; then [`EventQueue::reserve`]
+    /// `pending` slots (`0`: no pre-reservation).
+    pub fn reset(&mut self, pending: usize) {
         if self.buckets.len() != BUCKETS {
             self.buckets.resize_with(BUCKETS, Vec::new);
         }
@@ -197,10 +168,30 @@ impl CalendarQueue {
         self.min_key = u128::MAX;
         self.min_at = (IN_FRONT, 0);
         self.len = 0;
+        self.seq = 0;
+        if pending > 0 {
+            self.reserve(pending);
+        }
     }
 
+    /// Pre-reserve `pending` slots in every bucket, so a warm steady
+    /// state that keeps at most `pending` events in flight never grows
+    /// a bucket mid-push. Bounded by the count of *concurrently
+    /// pending* events (≈ busy nodes), not total pushes.
+    pub fn reserve(&mut self, pending: usize) {
+        self.front.reserve(pending);
+        for b in &mut self.buckets {
+            b.reserve(pending);
+        }
+    }
+
+    /// Push a finish event at time `t` for `node` at scheduling
+    /// `version`. `t` must be at or after the last popped event's time
+    /// (the engine's push sites guarantee it).
     // bct-lint: no_alloc
-    fn push(&mut self, ev: CalEv) {
+    pub fn push(&mut self, t: Time, node: NodeId, version: u64) {
+        let ev = CalEv { key: pack(t, self.seq), node, version };
+        self.seq += 1;
         debug_assert!(ev.key >= self.last, "calendar push below the popped floor");
         let at = match bucket_of(self.last, ev.key) {
             Some(b) => {
@@ -220,16 +211,18 @@ impl CalendarQueue {
         self.len += 1;
     }
 
+    /// Time of the earliest pending event.
     // bct-lint: no_alloc
-    fn peek_time(&self) -> Option<Time> {
+    pub fn peek_time(&self) -> Option<Time> {
         (self.len > 0).then(|| f64::from_bits((self.min_key >> 64) as u64))
     }
 
-    /// Remove and return the minimum. Advances the floor to the popped
-    /// key and re-buckets the (single) bucket it came from; entries
-    /// above keep their placement, so this is the only movement.
+    /// Pop the earliest pending event, `(t, seq)`-lexicographic.
+    /// Advances the floor to the popped key and re-buckets the (single)
+    /// bucket it came from; entries above keep their placement, so this
+    /// is the only movement.
     // bct-lint: no_alloc
-    fn pop(&mut self) -> Option<FinishEv> {
+    pub fn pop(&mut self) -> Option<FinishEv> {
         if self.len == 0 {
             return None;
         }
@@ -314,102 +307,23 @@ impl CalendarQueue {
             version: ev.version,
         })
     }
-}
-
-/// The pending-event queue handed to the engine. Owns both
-/// implementations (pooled in [`crate::SimScratch`], so one scratch can
-/// serve either mode without reallocating) and dispatches on the
-/// [`EventQueueKind`] chosen at [`EventQueue::reset`]. Arrivals never
-/// enter the queue: instances validate release-sorted jobs, so the
-/// engine walks them with a cursor and merges the two streams at pop
-/// time.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    kind: EventQueueKind,
-    heap: BinaryHeap<Reverse<FinishEv>>,
-    cal: CalendarQueue,
-    seq: u64,
-}
-
-impl EventQueue {
-    /// Empty the queue, select `kind`, and restart the sequence
-    /// counter, keeping every capacity.
-    pub fn reset(&mut self, kind: EventQueueKind) {
-        self.kind = kind;
-        self.heap.clear();
-        self.cal.reset();
-        self.seq = 0;
-    }
-
-    /// Pre-reserve `pending` slots in the heap and in every calendar
-    /// bucket, so a warm steady state that keeps at most `pending`
-    /// events in flight never grows a bucket mid-push. Bounded by the
-    /// count of *concurrently pending* events (≈ busy nodes), not total
-    /// pushes.
-    pub fn reserve(&mut self, pending: usize) {
-        self.heap.reserve(pending);
-        self.cal.front.reserve(pending);
-        for b in &mut self.cal.buckets {
-            b.reserve(pending);
-        }
-    }
-
-    /// Push a finish event at time `t` for `node` at scheduling
-    /// `version`. In calendar mode `t` must be at or after the last
-    /// popped event's time (the engine's push sites guarantee it).
-    // bct-lint: no_alloc
-    pub fn push(&mut self, t: Time, node: NodeId, version: u64) {
-        match self.kind {
-            EventQueueKind::Calendar => self.cal.push(CalEv {
-                key: pack(t, self.seq),
-                node,
-                version,
-            }),
-            EventQueueKind::BinaryHeap => self.heap.push(Reverse(FinishEv {
-                t: OrderedTime(t),
-                seq: self.seq,
-                node,
-                version,
-            })),
-        }
-        self.seq += 1;
-    }
-
-    /// Time of the earliest pending event.
-    // bct-lint: no_alloc
-    pub fn peek_time(&self) -> Option<Time> {
-        match self.kind {
-            EventQueueKind::Calendar => self.cal.peek_time(),
-            EventQueueKind::BinaryHeap => self.heap.peek().map(|Reverse(ev)| ev.t.0),
-        }
-    }
-
-    /// Pop the earliest pending event, `(t, seq)`-lexicographic.
-    // bct-lint: no_alloc
-    pub fn pop(&mut self) -> Option<FinishEv> {
-        match self.kind {
-            EventQueueKind::Calendar => self.cal.pop(),
-            EventQueueKind::BinaryHeap => self.heap.pop().map(|Reverse(ev)| ev),
-        }
-    }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match self.kind {
-            EventQueueKind::Calendar => self.cal.len,
-            EventQueueKind::BinaryHeap => self.heap.len(),
-        }
+        self.len
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn drain(q: &mut EventQueue) -> Vec<(f64, u64)> {
         let mut out = Vec::new();
@@ -422,7 +336,7 @@ mod tests {
     #[test]
     fn calendar_pops_in_time_then_seq_order() {
         let mut q = EventQueue::default();
-        q.reset(EventQueueKind::Calendar);
+        q.reset(0);
         for (i, t) in [3.0, 1.0, 2.0, 1.0, 0.0].iter().enumerate() {
             q.push(*t, NodeId(i as u32), 0);
         }
@@ -433,45 +347,101 @@ mod tests {
         );
     }
 
+    /// The binary heap the calendar queue replaced, kept as the test
+    /// oracle: `(t, seq)`-ordered, with the same sequence numbering.
+    #[derive(Default)]
+    struct HeapOracle {
+        heap: BinaryHeap<Reverse<(OrderedTime, u64, NodeId, u64)>>,
+        seq: u64,
+    }
+
+    impl HeapOracle {
+        fn push(&mut self, t: Time, node: NodeId, version: u64) {
+            self.heap.push(Reverse((OrderedTime(t), self.seq, node, version)));
+            self.seq += 1;
+        }
+        fn peek_time(&self) -> Option<Time> {
+            self.heap.peek().map(|Reverse((t, ..))| t.0)
+        }
+        fn pop(&mut self) -> Option<(OrderedTime, u64, NodeId, u64)> {
+            self.heap.pop().map(|Reverse(ev)| ev)
+        }
+    }
+
+    /// Hold model: `n` live events, each pop followed by a push a
+    /// random increment later — the exact access pattern the engine
+    /// produces (one pending finish per busy node). Initial times are
+    /// `(draw % t0.0) / t0.1`, increments `(draw % dt.0) / dt.1`. The
+    /// calendar queue and the heap oracle must agree on every peek and
+    /// every popped `(t, seq, node, version)`, then drain identically.
+    fn assert_hold_model_matches_heap(
+        n: usize,
+        ops: usize,
+        mut draw: impl FnMut() -> u64,
+        t0: (u64, f64),
+        dt: (u64, f64),
+    ) {
+        let mut cal = EventQueue::default();
+        cal.reset(0);
+        let mut heap = HeapOracle::default();
+        for i in 0..n {
+            let t = (draw() % t0.0) as f64 / t0.1;
+            cal.push(t, NodeId(i as u32), 0);
+            heap.push(t, NodeId(i as u32), 0);
+        }
+        for op in 0..ops {
+            assert_eq!(cal.peek_time(), heap.peek_time(), "n={n} op {op}");
+            let (Some(a), Some(b)) = (cal.pop(), heap.pop()) else {
+                panic!("queues drained early");
+            };
+            assert_eq!((a.t, a.seq, a.node, a.version), b, "n={n} op {op}");
+            let t = a.t.0 + (draw() % dt.0) as f64 / dt.1;
+            cal.push(t, a.node, a.version + 1);
+            heap.push(t, a.node, a.version + 1);
+        }
+        assert_eq!(cal.len(), heap.heap.len());
+        while let Some(b) = heap.pop() {
+            let a = cal.pop().expect("calendar drained before the heap");
+            assert_eq!((a.t, a.seq, a.node, a.version), b, "n={n} drain");
+        }
+        assert!(cal.is_empty());
+    }
+
     #[test]
     fn calendar_matches_heap_under_monotone_hold_pattern() {
-        // Hold model: pop the minimum, push a replacement at a later
-        // time — the exact access pattern the engine produces.
         let mut xs = 0x1234_5678_9abc_def0u64;
-        let mut step = move || {
+        let draw = move || {
             xs ^= xs << 13;
             xs ^= xs >> 7;
             xs ^= xs << 17;
             xs
         };
-        let mut cal = EventQueue::default();
-        cal.reset(EventQueueKind::Calendar);
-        let mut heap = EventQueue::default();
-        heap.reset(EventQueueKind::BinaryHeap);
-        for i in 0..64 {
-            let t = (step() % 1000) as f64 / 8.0;
-            cal.push(t, NodeId(i), 0);
-            heap.push(t, NodeId(i), 0);
-        }
-        for _ in 0..4000 {
-            assert_eq!(cal.peek_time(), heap.peek_time());
-            let (a, b) = (cal.pop(), heap.pop());
-            let (Some(a), Some(b)) = (a, b) else {
-                panic!("queues drained early");
+        assert_hold_model_matches_heap(64, 4000, draw, (1000, 8.0), (64, 16.0));
+    }
+
+    /// The sizes and operation count of the retired event-queue
+    /// microbenchmark, whose only check was this pop-order agreement:
+    /// 200k hold rounds at 64, 1024 and 16384 live events.
+    #[test]
+    fn calendar_matches_heap_on_hold_model_at_scale() {
+        for n in [64usize, 1024, 16 * 1024] {
+            // xorshift64*: the state advances by xorshift, the draw is
+            // the state times an odd constant.
+            let mut x = 0x9E37_79B9_97F4_A7C1u64 ^ n as u64;
+            let draw = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.wrapping_mul(0x2545_F491_4F6C_DD1D)
             };
-            assert_eq!((a.t, a.seq, a.node, a.version), (b.t, b.seq, b.node, b.version));
-            let t = a.t.0 + (step() % 64) as f64 / 16.0;
-            cal.push(t, a.node, a.version + 1);
-            heap.push(t, a.node, a.version + 1);
+            assert_hold_model_matches_heap(n, 200_000, draw, (4096, 16.0), (256, 32.0));
         }
-        assert_eq!(cal.len(), heap.len());
-        assert_eq!(drain(&mut cal), drain(&mut heap));
     }
 
     #[test]
     fn equal_time_pushes_after_pop_stay_fifo() {
         let mut q = EventQueue::default();
-        q.reset(EventQueueKind::Calendar);
+        q.reset(0);
         q.push(5.0, NodeId(0), 0);
         q.push(5.0, NodeId(1), 0);
         let first = q.pop().unwrap();
@@ -487,12 +457,12 @@ mod tests {
     #[test]
     fn reset_reuses_capacity_and_restarts_seq() {
         let mut q = EventQueue::default();
-        q.reset(EventQueueKind::Calendar);
+        q.reset(0);
         for i in 0..100 {
             q.push(i as f64 * 0.25, NodeId(i), 0);
         }
         while q.pop().is_some() {}
-        q.reset(EventQueueKind::Calendar);
+        q.reset(0);
         q.push(1.0, NodeId(7), 3);
         let ev = q.pop().unwrap();
         assert_eq!((ev.seq, ev.node, ev.version), (0, NodeId(7), 3));
@@ -505,7 +475,7 @@ mod tests {
         // job's finish at 6.0 — *below* the peeked minimum but above the
         // last pop. The peek must not have moved the floor.
         let mut q = EventQueue::default();
-        q.reset(EventQueueKind::Calendar);
+        q.reset(0);
         q.push(2.0, NodeId(0), 0);
         let first = q.pop().unwrap();
         assert_eq!(first.t.0, 2.0);
@@ -522,7 +492,7 @@ mod tests {
     fn zero_time_first_push_is_poppable() {
         // key (t=0.0, seq=0) packs to exactly the initial floor.
         let mut q = EventQueue::default();
-        q.reset(EventQueueKind::Calendar);
+        q.reset(0);
         q.push(0.0, NodeId(0), 0);
         assert_eq!(q.peek_time(), Some(0.0));
         assert_eq!(q.pop().unwrap().node, NodeId(0));

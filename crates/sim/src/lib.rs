@@ -26,9 +26,10 @@
 //! accounted exactly — the fractional integral is piecewise quadratic
 //! and integrated in closed form between events.
 //!
-//! A deliberately naive [`reference`] simulator recomputes everything at
-//! every event; property tests in `bct-policies` and the workspace
-//! integration suite cross-check the two engines event for event.
+//! A deliberately naive reference simulator (`tests/reference/`, test
+//! code only) recomputes everything at every event; this crate's engine
+//! tests and the workspace integration suite cross-check the two
+//! engines event for event.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,15 +42,13 @@ pub mod invariants;
 pub mod outcome;
 pub mod packet;
 pub mod policy;
-pub mod reference;
 pub mod scratch;
 pub mod session;
 pub mod state;
 pub mod trace;
 
-pub use agg::AggLayout;
 pub use engine::{SimConfig, Simulation, TopoMutation};
-pub use evq::{EventQueue, EventQueueKind};
+pub use evq::EventQueue;
 pub use outcome::{HopFinishes, SimOutcome};
 pub use scratch::SimScratch;
 pub use session::{SessionConfig, SessionError, SimSession};

@@ -1,9 +1,9 @@
 //! Reusable buffer pool for repeated simulation runs.
 //!
 //! A [`SimScratch`] owns every heap-backed structure a run needs — node
-//! states, queue memberships, the aggregate store (both layouts), the
-//! SoA job table, the materialized speed table, the event queue (both
-//! implementations), and a pool of outcome buffers. [`crate::Simulation::run_with_scratch`] takes the
+//! states, queue memberships, the aggregate store, the SoA job table,
+//! the materialized speed table, the event queue, and a pool of outcome
+//! buffers. [`crate::Simulation::run_with_scratch`] takes the
 //! buffers out, `clear()`s them in place (capacity retained), runs, and
 //! hands them back, so the second run over the same topology shape
 //! allocates nothing. [`SimScratch::recycle`] additionally returns a

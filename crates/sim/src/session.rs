@@ -30,14 +30,13 @@
 //! at `t` precedes completions at `t`.
 
 use crate::engine::{SimError, Simulation};
-use crate::evq::{EventQueue, EventQueueKind, FinishEv};
+use crate::evq::{EventQueue, FinishEv};
 use crate::policy::{NodePolicy, StatefulPolicy};
 use crate::scratch::SimScratch;
 use crate::state::{SavedScalars, SimState};
 use bct_core::{
     ClassRounding, CoreError, Instance, JobId, NodeId, SpeedProfile, Time, Tree, TreeMutation,
 };
-use crate::agg::AggLayout;
 use std::fmt;
 
 /// Configuration for an online session — the subset of [`crate::SimConfig`]
@@ -49,10 +48,6 @@ pub struct SessionConfig {
     pub speeds: SpeedProfile,
     /// Class rounding the queue aggregates are keyed by.
     pub dispatch_rounding: Option<ClassRounding>,
-    /// Pending-event queue implementation.
-    pub event_queue: EventQueueKind,
-    /// Queue-aggregate layout.
-    pub aggregates: AggLayout,
     /// Whether to maintain the per-node queue aggregates (needed only
     /// when the assignment policy or an observer queries them).
     pub track_aggs: bool,
@@ -60,13 +55,11 @@ pub struct SessionConfig {
 
 impl SessionConfig {
     /// Given speeds; defaults for everything else (raw-size keys,
-    /// calendar queue, flat aggregates, aggregates maintained).
+    /// aggregates maintained).
     pub fn new(speeds: SpeedProfile) -> SessionConfig {
         SessionConfig {
             speeds,
             dispatch_rounding: None,
-            event_queue: EventQueueKind::default(),
-            aggregates: AggLayout::default(),
             track_aggs: true,
         }
     }
@@ -158,14 +151,13 @@ impl SimSession {
                 &instance,
                 cfg.dispatch_rounding,
                 cfg.track_aggs,
-                cfg.aggregates,
                 true, // dynamic: the session owns a mutable topology from the start
                 &mut scratch,
             );
             st.suspend_into(&mut scratch)
         };
         let mut evq = EventQueue::default();
-        evq.reset(cfg.event_queue);
+        evq.reset(0);
         Ok(SimSession {
             instance,
             scratch,
@@ -333,9 +325,8 @@ impl SimSession {
         for ns in &mut self.scratch.nodes {
             ns.heap.reserve(jobs);
         }
-        // Aggregates: any single queue can hold every unfinished job,
-        // and across all queues a job occupies one entry per hop.
-        self.scratch.aggs.reserve(jobs, jobs * max_hops);
+        // Aggregates: any single queue can hold every unfinished job.
+        self.scratch.aggs.reserve(jobs);
         // Pending finish events are bounded by busy nodes, but stale
         // (version-superseded) entries linger until popped; give them
         // headroom proportional to the tree.

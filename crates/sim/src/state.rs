@@ -26,7 +26,7 @@
 //!   node policy, including `j` itself → assembled by callers from
 //!   [`SimView::q`] plus the policy key.
 
-use crate::agg::{AggLayout, AggStore, QueueKey};
+use crate::agg::{AggStore, QueueKey};
 use crate::policy::{KeyCtx, NodePolicy, PolicyKey};
 use crate::scratch::SimScratch;
 use bct_core::instance::Setting;
@@ -240,7 +240,7 @@ pub struct SimState<'a> {
     /// `Q_v(t)` membership: `(job, hop index of v in the job's path)`.
     pub(crate) q_members: Vec<Vec<(JobId, u32)>>,
     /// Order-statistic aggregates over each `Q_v(t)`, keyed by SJF
-    /// priority under `rounding`, in the layout the config selected.
+    /// priority under `rounding`.
     pub(crate) aggs: AggStore,
     /// The class rounding the aggregates are keyed by (`None` = raw
     /// sizes); dispatch policies with a matching configuration get
@@ -248,7 +248,7 @@ pub struct SimState<'a> {
     pub(crate) rounding: Option<ClassRounding>,
     /// Whether the aggregates are maintained this run. They only serve
     /// [`SimView`]'s range queries, so when neither the assignment
-    /// policy nor the probe declares a need for them, every treap
+    /// policy nor the probe declares a need for them, every aggregate
     /// update is skipped — outputs are bit-identical either way.
     track_aggs: bool,
     /// Identical-node setting: `p_{j,v} = p_j` everywhere, so the size
@@ -274,7 +274,7 @@ impl<'a> SimState<'a> {
     ) -> SimState<'a> {
         let mut scratch = SimScratch::new();
         scratch.speeds = speeds;
-        SimState::from_scratch(instance, rounding, true, AggLayout::default(), false, &mut scratch)
+        SimState::from_scratch(instance, rounding, true, false, &mut scratch)
     }
 
     /// Build state for a run by *taking* the buffers out of `scratch`
@@ -288,7 +288,7 @@ impl<'a> SimState<'a> {
     /// maintained; aggregates only serve the three [`SimView`] range
     /// queries (they never influence the schedule itself), so runs
     /// whose policies and probe declare they won't query can skip every
-    /// treap update without changing a single output bit.
+    /// aggregate update without changing a single output bit.
     ///
     /// `dynamic` runs get an owned clone of the instance's tree to
     /// mutate (pooled in `scratch.topo`, so a warm rerun only
@@ -300,7 +300,6 @@ impl<'a> SimState<'a> {
         instance: &'a Instance,
         rounding: Option<ClassRounding>,
         track_aggs: bool,
-        layout: AggLayout,
         dynamic: bool,
         scratch: &mut SimScratch,
     ) -> SimState<'a> {
@@ -321,7 +320,7 @@ impl<'a> SimState<'a> {
             q_members.push(Vec::new());
         }
         let mut aggs = mem::take(&mut scratch.aggs);
-        aggs.reset(layout, m);
+        aggs.reset(m);
         let mut jobs = mem::take(&mut scratch.jobs);
         jobs.reset(instance.jobs());
         let topo = if dynamic {
@@ -773,9 +772,9 @@ impl<'a> SimState<'a> {
     // bct-lint: no_alloc
     pub(crate) fn finish_current_hop(&mut self, v: NodeId) -> JobId {
         // Materialize the scalar columns only: the aggregate entry is
-        // removed below, and removal rebuilds ancestor sums from the
+        // removed below, and removal rebuilds the block sums from the
         // surviving entries, so writing the (dead) entry's remainder
-        // first would be a wasted treap walk.
+        // first would be a wasted search.
         // bct-lint: allow(p1) -- finish events carry a version check; a stale node is skipped before this call
         let (j, _) = self.nodes[v.as_usize()].current.expect("finishing an idle node");
         let ji = j.as_usize();
@@ -1212,7 +1211,7 @@ impl<'s> SimView<'s> {
     /// The aggregate queries below are only valid when the run is
     /// maintaining aggregates; a policy/probe that queries despite
     /// declaring `needs_aggregates() == false` is a contract bug, and
-    /// silently returning empty-treap answers would corrupt schedules.
+    /// silently returning empty-store answers would corrupt schedules.
     #[inline]
     fn assert_aggs(&self) {
         assert!(
@@ -1404,7 +1403,7 @@ mod tests {
         let inst = fixture();
         let mut scratch = SimScratch::new();
         scratch.speeds = vec![1.0; inst.tree().len()];
-        let mut st = SimState::from_scratch(&inst, None, true, AggLayout::Flat, false, &mut scratch);
+        let mut st = SimState::from_scratch(&inst, None, true, false, &mut scratch);
         st.admit(JobId(0), NodeId(2));
         st.enqueue(NodeId(1), JobId(0), &SizeOrder);
         st.advance(4.0);
@@ -1412,7 +1411,7 @@ mod tests {
         st.release_into(&mut scratch);
         // A state rebuilt from the used scratch starts pristine.
         scratch.speeds = vec![1.0; inst.tree().len()];
-        let st2 = SimState::from_scratch(&inst, None, true, AggLayout::Flat, false, &mut scratch);
+        let st2 = SimState::from_scratch(&inst, None, true, false, &mut scratch);
         assert_eq!(st2.now, 0.0);
         assert_eq!(st2.view().q_len(NodeId(1)), 0);
         assert!(!st2.view().released(JobId(0)));

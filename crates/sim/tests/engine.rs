@@ -5,12 +5,14 @@
 use bct_core::{Instance, Job, JobId, NodeId, SpeedProfile, Tree};
 use bct_core::tree::TreeBuilder;
 use bct_sim::policy::NoProbe;
-use bct_sim::reference::run_reference;
 use bct_sim::{invariants, AssignmentPolicy, KeyCtx, NodePolicy, PolicyKey, SimConfig, SimView, Simulation};
 use proptest::prelude::*;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+mod reference;
+use reference::run_reference;
 
 /// SJF on original size, ties by release then id — the paper's node rule.
 struct Sjf;
@@ -276,23 +278,32 @@ fn total_flow_equals_count_integral() {
 
 // ---------------- randomized cross-check vs the reference ----------------
 
+/// Random small instance. Every fourth seed is a line network — root,
+/// a chain of 1-5 routers, one machine: the hard case of the
+/// line-network lower bounds, where every job queues at every hop.
+/// The other seeds draw a random small tree.
 fn random_instance(seed: u64, unrelated: bool) -> (Instance, Vec<NodeId>) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    // Random small tree: 2-3 root children, each a random subtree.
     let mut b = TreeBuilder::new();
-    let mut interior = Vec::new();
-    for _ in 0..rng.gen_range(2..=3) {
-        let r = b.add_child(NodeId::ROOT);
-        interior.push(r);
-        for _ in 0..rng.gen_range(1..=3) {
-            let parent = interior[rng.gen_range(0..interior.len())];
-            interior.push(b.add_child(parent));
+    if seed % 4 == 0 {
+        let chain = b.add_chain(NodeId::ROOT, rng.gen_range(1..=5));
+        b.add_child(*chain.last().unwrap());
+    } else {
+        // Random small tree: 2-3 root children, each a random subtree.
+        let mut interior = Vec::new();
+        for _ in 0..rng.gen_range(2..=3) {
+            let r = b.add_child(NodeId::ROOT);
+            interior.push(r);
+            for _ in 0..rng.gen_range(1..=3) {
+                let parent = interior[rng.gen_range(0..interior.len())];
+                interior.push(b.add_child(parent));
+            }
         }
-    }
-    // Every interior node gets at least one machine below it.
-    let snapshot = interior.clone();
-    for v in snapshot {
-        b.add_child(v);
+        // Every interior node gets at least one machine below it.
+        let snapshot = interior.clone();
+        for v in snapshot {
+            b.add_child(v);
+        }
     }
     let t = b.build().unwrap();
     let n_leaves = t.num_leaves();
@@ -331,6 +342,11 @@ proptest! {
             let cf = fast.completions[j].expect("fast finished");
             let cs = slow.completions[j];
             prop_assert!((cf - cs).abs() < 1e-5, "job {j}: fast {cf} vs ref {cs}");
+            let (hf, hs) = (fast.hop_finishes.row(j), &slow.hop_finishes[j]);
+            prop_assert_eq!(hf.len(), hs.len(), "job {}: hop count", j);
+            for (h, (a, b)) in hf.iter().zip(hs).enumerate() {
+                prop_assert!((a - b).abs() < 1e-5, "job {j} hop {h}: fast {a} vs ref {b}");
+            }
         }
         prop_assert!((fast.fractional_flow - slow.fractional_flow).abs() < 1e-4,
             "fractional: fast {} vs ref {}", fast.fractional_flow, slow.fractional_flow);

@@ -1,6 +1,7 @@
-//! A deliberately naive cross-check simulator.
+//! A deliberately naive cross-check simulator, shared by the engine
+//! tests of this crate and the workspace property suite.
 //!
-//! Same semantics as [`crate::engine::Simulation`], implemented the
+//! Same semantics as [`bct_sim::Simulation`], implemented the
 //! obvious way: at every event boundary it rescans every node and every
 //! job, recomputes each node's highest-priority available job from
 //! scratch, and advances by the smallest step to the next completion or
@@ -11,9 +12,9 @@
 //! assignments being fixed inputs here (the engine's assignment logic is
 //! exercised separately).
 
-use crate::policy::{KeyCtx, NodePolicy};
 use bct_core::time::EPS;
 use bct_core::{Instance, JobId, NodeId, SpeedProfile, Time};
+use bct_sim::policy::{KeyCtx, NodePolicy};
 
 /// Result of a reference run.
 #[derive(Clone, Debug)]
@@ -52,7 +53,6 @@ pub fn run_reference(
 ) -> RefOutcome {
     assert_eq!(assignments.len(), instance.n());
     let tree = instance.tree();
-    // bct-lint: allow(p1) -- oracle entry point with caller-validated speeds; documented panic
     let speed = speeds.materialize(tree).expect("valid speeds");
     let mut jobs: Vec<RJob<'_>> = assignments
         .iter()
@@ -84,7 +84,6 @@ pub fn run_reference(
             .enumerate()
             .filter(|(_, j)| j.released && !j.done)
             .map(|(id, j)| {
-                // bct-lint: allow(p1) -- paths are non-empty by Instance construction
                 let leaf = *j.path.last().unwrap();
                 let p = instance.p(JobId(id as u32), leaf);
                 let rem_leaf = if j.hop + 1 == j.path.len() { j.rem } else { p };
@@ -193,7 +192,6 @@ pub fn run_reference(
     RefOutcome {
         completions: jobs
             .iter()
-            // bct-lint: allow(p1) -- the drain assert above guarantees every job recorded its last hop
             .map(|j| *j.hop_finishes.last().expect("finished"))
             .collect(),
         hop_finishes: jobs.iter().map(|j| j.hop_finishes.clone()).collect(),

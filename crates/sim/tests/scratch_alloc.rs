@@ -171,7 +171,7 @@ impl AssignmentPolicy for RoundRobin {
 
 /// 8 routers x 8 leaves under the root, 2000 jobs with staggered
 /// releases and power-of-two sizes — enough traffic to exercise
-/// preemption, treap churn, and multi-hop queues.
+/// preemption, aggregate churn, and multi-hop queues.
 fn fixture() -> Instance {
     let mut b = TreeBuilder::new();
     for _ in 0..8 {
@@ -256,7 +256,7 @@ fn second_scratch_run_allocates_nothing_and_matches_fresh() {
     let inst = fixture();
     let cfg = SimConfig::unit();
 
-    // Aggregate-free round robin: the default calendar event queue
+    // Aggregate-free round robin: the calendar event queue
     // carries the whole event load; its warm run proves bucket reuse
     // (re-bucketing keeps capacities attached to their slots).
     assert_steady_state_zero_alloc("round-robin/calendar", &inst, &cfg, || {
@@ -266,15 +266,6 @@ fn second_scratch_run_allocates_nothing_and_matches_fresh() {
     // Aggregate-driven greedy: every admit/materialize/remove now also
     // churns the flat aggregate layout's blocked sums in place.
     assert_steady_state_zero_alloc("agg-greedy/flat", &inst, &cfg, || Box::new(AggGreedy));
-
-    // Same greedy under the compat structures (binary heap + treap):
-    // the oracle configuration keeps its zero-alloc contract too.
-    assert_steady_state_zero_alloc(
-        "agg-greedy/compat",
-        &inst,
-        &cfg.clone().compat_structures(),
-        || Box::new(AggGreedy),
-    );
 
     // Dynamic topologies: mutations may allocate (arena growth, node
     // tables for added ids), but every event interval *between* them

@@ -7,12 +7,15 @@ use bandwidth_tree_scheduling::policies::{FixedAssignment, Sjf};
 use bandwidth_tree_scheduling::sched::GreedyIdentical;
 use bandwidth_tree_scheduling::sim::packet::run_packetized;
 use bandwidth_tree_scheduling::sim::policy::NoProbe;
-use bandwidth_tree_scheduling::sim::reference::run_reference;
 use bandwidth_tree_scheduling::sim::{invariants, SimConfig, Simulation};
 use bandwidth_tree_scheduling::workloads::jobs::{ArrivalProcess, SizeDist, WorkloadSpec};
 use bandwidth_tree_scheduling::workloads::topo;
 use proptest::prelude::*;
 use rand::SeedableRng;
+
+#[path = "../crates/sim/tests/reference/mod.rs"]
+mod reference;
+use reference::run_reference;
 
 fn random_instance(seed: u64, n: usize) -> Instance {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -31,7 +34,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// The paper algorithm's schedule, replayed on the naive reference
-    /// engine with the same assignments, yields identical completions.
+    /// engine with the same assignments, yields identical completions,
+    /// hop finishes and objective integrals.
     #[test]
     fn greedy_schedule_matches_reference_engine(seed in 0u64..3000) {
         let inst = random_instance(seed, 15);
@@ -47,7 +51,15 @@ proptest! {
             let cf = out.completions[j].unwrap();
             prop_assert!((cf - slow.completions[j]).abs() < 1e-5,
                 "job {j}: {cf} vs {}", slow.completions[j]);
+            let (hf, hs) = (out.hop_finishes.row(j), &slow.hop_finishes[j]);
+            prop_assert_eq!(hf.len(), hs.len(), "job {}: hop count", j);
+            for (h, (a, b)) in hf.iter().zip(hs).enumerate() {
+                prop_assert!((a - b).abs() < 1e-5, "job {j} hop {h}: {a} vs {b}");
+            }
         }
+        prop_assert!((out.fractional_flow - slow.fractional_flow).abs() < 1e-4,
+            "fractional: {} vs {}", out.fractional_flow, slow.fractional_flow);
+        prop_assert!((out.count_integral - slow.count_integral).abs() < 1e-4);
     }
 
     /// Traces of the paper algorithm always satisfy the model invariants.
